@@ -22,12 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .indices import (
-    _column_ranks,
-    _pearson_on_ranks,
-    gaussian_spearman,
-    six_bounds,
-)
+from .indices import correlation_matrix, gaussian_spearman, six_bounds, weighted_six
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -273,37 +268,19 @@ class RollingSixSeries:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _window_pair_rhos(
-    block: np.ndarray, estimator: str
-) -> tuple[tuple[tuple[int, int], ...], tuple[float, ...], tuple[tuple[int, int], ...]]:
-    """Pairwise rhos of one window; pairs touching a constant column are
-    reported separately as skipped rather than poisoning the whole window."""
-    d = block.shape[1]
-    constant = [bool(np.ptp(block[:, k]) == 0.0) for k in range(d)]
-    pairs: list[tuple[int, int]] = []
-    rhos: list[float] = []
-    skipped: list[tuple[int, int]] = []
-    if estimator == "rank":
-        ranks = _column_ranks(block)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if constant[i] or constant[j]:
-                    skipped.append((i, j))
-                    continue
-                pairs.append((i, j))
-                rhos.append(_pearson_on_ranks(ranks[:, i], ranks[:, j]))
-    elif estimator == "lognormal":
-        for i in range(d):
-            for j in range(i + 1, d):
-                if constant[i] or constant[j]:
-                    skipped.append((i, j))
-                    continue
-                corr = float(np.corrcoef(block[:, i], block[:, j])[0, 1])
-                pairs.append((i, j))
-                rhos.append(gaussian_spearman(min(1.0, max(-1.0, corr))))
-    else:
+def _window_pair_rhos(block: np.ndarray, estimator: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rhos of one window's pairs ``i < j`` in row-major order, and the mask
+    of the pairs to keep: a pair touching a constant column is dropped rather
+    than poisoning the whole window (its rho is NaN)."""
+    if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
-    return tuple(pairs), tuple(rhos), tuple(skipped)
+    corr, varying = correlation_matrix(block, ranks=estimator == "rank")
+    upper = np.triu_indices(block.shape[1], 1)
+    rhos = corr[upper]
+    keep = varying[upper[0]] & varying[upper[1]]
+    if estimator == "lognormal":
+        rhos[keep] = gaussian_spearman(rhos[keep])
+    return rhos, keep
 
 
 def rolling_six(
@@ -324,29 +301,30 @@ def rolling_six(
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")
     returns = log_returns(p)
-    lower, upper = six_bounds(wv)
+    bounds = six_bounds(wv)
+    terms = np.outer(wv.values, wv.values)[np.triu_indices(p.d, 1)]
     entries: list[WindowSix] = []
     skipped: list[tuple[dt.date, str]] = []
     windows_with_dropped_pairs = 0
     for start, stop in rolling_windows(len(returns), window, step):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
         block = returns[start:stop]
-        pairs, rhos, dropped_pairs = _window_pair_rhos(block, estimator)
-        if dropped_pairs:
+        rhos, keep = _window_pair_rhos(block, estimator)
+        n_pairs = int(np.count_nonzero(keep))
+        if n_pairs < len(keep):
             windows_with_dropped_pairs += 1
-        if not pairs:
+        if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))
             continue
-        terms = [wv.values[i] * wv.values[j] for i, j in pairs]
-        value = math.fsum(t * r for t, r in zip(terms, rhos)) / math.fsum(terms)
+        value, within = weighted_six(rhos[keep], terms[keep], bounds)
         entries.append(
             WindowSix(
                 end_date=end_date,
                 six=value,
                 estimator=estimator,
                 n_window=len(block),
-                n_pairs=len(pairs),
-                within_bounds=(lower - 1e-12) <= value <= (upper + 1e-12),
+                n_pairs=n_pairs,
+                within_bounds=within,
             )
         )
     if skipped:

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from .copula import SampleMatrix, make_rng
 from .errors import (
@@ -37,12 +36,15 @@ __all__ = [
     "SpearmanMatrix",
     "SixReport",
     "LognormalModel",
+    "midranks",
+    "correlation_matrix",
     "spearman_rho",
     "spearman_matrix",
     "spearman_matrix_gaussian",
     "gaussian_spearman",
     "six",
     "six_from_matrix",
+    "weighted_six",
     "six_bounds",
     "six_lognormal",
     "rhix_lognormal_bivariate",
@@ -53,28 +55,54 @@ __all__ = [
 ]
 
 
-def _column_ranks(x: np.ndarray) -> np.ndarray:
-    return rankdata(x, method="average", axis=0)
+# A SIX value this close outside its sharp bounds still counts as within them.
+BOUND_SLACK = 1e-12
 
 
-def _pearson_on_ranks(rx: np.ndarray, ry: np.ndarray) -> float:
-    """Pearson correlation of two rank vectors with exact +/-1 fast paths.
+def midranks(x: np.ndarray) -> np.ndarray:
+    """Mid-ranks (1-based) along axis 0: tied values share the average of the
+    first and last position of their run.  The same bits as
+    ``scipy.stats.rankdata(x, method="average", axis=0)``."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    order = np.argsort(x, axis=0, kind="stable")
+    s = np.take_along_axis(x, order, axis=0)
+    pos = np.arange(n, dtype=float).reshape((n,) + (1,) * (x.ndim - 1))
+    starts = np.ones(s.shape, dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
+    ends = np.ones(s.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0.0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1.0)[::-1], axis=0)[::-1]
+    ranks = np.empty_like(s)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=0)
+    return ranks
 
-    Identical rank vectors are perfectly concordant and exactly reversed ones
-    perfectly discordant; detecting these directly returns exactly 1.0 or
-    -1.0 instead of a value one ulp off.
+
+def correlation_matrix(x: np.ndarray, ranks: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise correlations of the columns of an ``(n, d)`` array from one
+    Gram product of the centred columns: ``G = A.T @ A`` and ``rho_ij =
+    G_ij / sqrt(G_ii G_jj)`` clipped to [-1, 1], with the mask of non-constant
+    columns (the rows and columns of constant ones are NaN).
+
+    ``ranks``: Spearman's rho, on mid-ranks centred on ``(n + 1) / 2``.  These
+    are multiples of 1/2, so for ``n`` below about 2e5 the product is exact in
+    any summation order and equal or reversed rank columns give exactly +/-1.
+    Otherwise Pearson's correlation of ``x``, where values within ``n * eps``
+    of +/-1, finer than the Gram's rounding, are set to +/-1.
     """
-    n = len(rx)
-    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
-        raise DegenerateDataError("constant column: rank correlation is undefined")
-    if np.array_equal(rx, ry):
-        return 1.0
-    if np.array_equal(ry, (n + 1.0) - rx):
-        return -1.0
-    ax = rx - rx.mean()
-    ay = ry - ry.mean()
-    r = float((ax @ ay) / math.sqrt((ax @ ax) * (ay @ ay)))
-    return min(1.0, max(-1.0, r))
+    x = np.asarray(x, dtype=float)
+    varying = np.ptp(x, axis=0) > 0.0
+    a = midranks(x) - 0.5 * (x.shape[0] + 1) if ranks else x - x.mean(axis=0)
+    gram = a.T @ a
+    diag = np.diag(gram)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
+    rho[~np.outer(varying, varying)] = np.nan
+    if not ranks:  # below the Gram's rounding: exactly linear columns give +/-1
+        linear = np.abs(rho) >= 1.0 - x.shape[0] * np.finfo(float).eps
+        rho[linear] = np.sign(rho[linear])
+    return rho, varying
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
@@ -91,9 +119,7 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
         raise DimensionError(f"length mismatch: {len(xa)} vs {len(ya)}")
     if len(xa) < 2:
         raise DimensionError("need at least 2 observations")
-    return _pearson_on_ranks(
-        rankdata(xa, method="average"), rankdata(ya, method="average")
-    )
+    return spearman_matrix(np.column_stack((xa, ya))).rhos[0]
 
 
 @dataclass(frozen=True)
@@ -108,12 +134,19 @@ class SpearmanMatrix:
     def __post_init__(self) -> None:
         if any(not -1.0 <= r <= 1.0 for r in self.rhos):
             raise DomainError(f"rho outside [-1, 1] in {self.rhos!r}")
+        # not a field: equality, repr and asdict see only the four above
+        object.__setattr__(self, "_lookup", dict(zip(self.pairs, self.rhos)))
 
     def rho(self, i: int, j: int) -> float:
         if i == j:
             return 1.0
-        key = (min(i, j), max(i, j))
-        return self.rhos[self.pairs.index(key)]
+        return self._lookup[(min(i, j), max(i, j))]
+
+
+def _from_upper(rho: np.ndarray, estimator: str) -> SpearmanMatrix:
+    rows, cols = np.triu_indices(len(rho), 1)
+    pairs = tuple(zip(rows.tolist(), cols.tolist()))
+    return SpearmanMatrix(len(rho), pairs, tuple(rho[rows, cols].tolist()), estimator)
 
 
 def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
@@ -123,27 +156,26 @@ def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
         raise DimensionError("need an (n, d>=2) data matrix")
     if values.shape[0] < 2:
         raise DimensionError("need at least 2 observations")
-    ranks = _column_ranks(values)
-    d = values.shape[1]
-    pairs = tuple((i, j) for i in range(d) for j in range(i + 1, d))
-    rhos = tuple(_pearson_on_ranks(ranks[:, i], ranks[:, j]) for i, j in pairs)
-    return SpearmanMatrix(d=d, pairs=pairs, rhos=rhos, estimator="rank-sample")
+    if not np.isfinite(values).all():
+        raise DomainError("data must be finite to be ranked")
+    rho, varying = correlation_matrix(values)
+    if not varying.all():
+        raise DegenerateDataError("constant column: rank correlation is undefined")
+    return _from_upper(rho, "rank-sample")
 
 
-def gaussian_spearman(rho: float) -> float:
-    """Population Spearman's rho of a Gaussian copula: ``(6/pi) * asin(rho/2)``.
+def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
+    """Population Spearman's rho of a Gaussian copula: ``(6/pi) * asin(rho/2)``,
+    elementwise for an array.
 
     The endpoints and zero are returned exactly.
     """
-    if not -1.0 <= rho <= 1.0:
+    r = np.asarray(rho, dtype=float)
+    if not np.all((-1.0 <= r) & (r <= 1.0)):
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
-    if rho == 1.0:
-        return 1.0
-    if rho == -1.0:
-        return -1.0
-    if rho == 0.0:
-        return 0.0
-    return min(1.0, max(-1.0, (6.0 / math.pi) * math.asin(0.5 * rho)))
+    value = np.clip((6.0 / math.pi) * np.arcsin(0.5 * r), -1.0, 1.0)
+    value = np.where((r == 0.0) | (np.abs(r) == 1.0), r, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def spearman_matrix_gaussian(corr: np.ndarray) -> SpearmanMatrix:
@@ -151,10 +183,7 @@ def spearman_matrix_gaussian(corr: np.ndarray) -> SpearmanMatrix:
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or corr.shape[0] < 2:
         raise DimensionError(f"need a square correlation matrix, got shape {corr.shape}")
-    d = corr.shape[0]
-    pairs = tuple((i, j) for i in range(d) for j in range(i + 1, d))
-    rhos = tuple(gaussian_spearman(float(corr[i, j])) for i, j in pairs)
-    return SpearmanMatrix(d=d, pairs=pairs, rhos=rhos, estimator="closed-form-gaussian")
+    return _from_upper(gaussian_spearman(np.triu(corr, 1)), "closed-form-gaussian")
 
 
 @dataclass(frozen=True)
@@ -197,32 +226,37 @@ def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     return lower, 1.0
 
 
+def weighted_six(
+    rhos: np.ndarray, terms: np.ndarray, bounds: tuple[float, float]
+) -> tuple[float, bool]:
+    """SIX from pair rhos and their weights ``w_i w_j``:
+    ``fsum(terms * rhos) / fsum(terms)``, and whether it lies within the sharp
+    ``bounds`` up to ``BOUND_SLACK``.
+
+    Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
+    """
+    value = math.fsum((terms * rhos).tolist()) / math.fsum(terms.tolist())
+    lower, upper = bounds
+    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK
+
+
 def six_from_matrix(
     sm: SpearmanMatrix, w: "WeightVector | Iterable[float]", n: int | None = None
 ) -> SixReport:
-    """Weighted average of pairwise rhos: ``sum w_i w_j rho_ij / sum w_i w_j``.
-
-    Numerator and denominator share the same summation order, so a matrix of
-    all ones yields exactly 1.0.
-    """
+    """Weighted average of pairwise rhos: ``sum w_i w_j rho_ij / sum w_i w_j``."""
     wv = as_weight_vector(w)
     if wv.d != sm.d:
         raise DimensionError(f"weights have d={wv.d} but matrix has d={sm.d}")
-    terms = [wv.values[i] * wv.values[j] for i, j in sm.pairs]
-    numerator = math.fsum(t * r for t, r in zip(terms, sm.rhos))
-    denominator = math.fsum(terms)
-    value = numerator / denominator
-    lower, upper = six_bounds(wv)
-    pair_weights = tuple(
-        (pair, t / denominator) for pair, t in zip(sm.pairs, terms)
-    )
-    within = (lower - 1e-12) <= value <= (upper + 1e-12)
+    terms = np.array([wv.values[i] * wv.values[j] for i, j in sm.pairs])
+    bounds = six_bounds(wv)
+    value, within = weighted_six(np.array(sm.rhos), terms, bounds)
+    denominator = math.fsum(terms.tolist())
     return SixReport(
         weights=wv.values,
         six=value,
-        lower_bound=lower,
-        upper_bound=upper,
-        pair_weights=pair_weights,
+        lower_bound=bounds[0],
+        upper_bound=bounds[1],
+        pair_weights=tuple(zip(sm.pairs, (terms / denominator).tolist())),
         estimator=sm.estimator,
         n=n,
         within_bounds=within,
@@ -304,8 +338,23 @@ def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) ->
     return six_from_matrix(sm, wv).six
 
 
-def _lognormal_cov(mu_i, mu_j, var_i, var_j, cov_ij) -> float:
-    return math.exp(mu_i + mu_j + 0.5 * (var_i + var_j)) * math.expm1(cov_ij)
+def _covariance_ratio(
+    w: "WeightVector | Iterable[float]", model: LognormalModel, diagonal: bool
+) -> float:
+    """``sum w_i w_j Cov[X_i, X_j] / sum w_i w_j Cov^c[X_i, X_j]`` over the
+    lognormal prices, where ``Cov^c`` keeps the marginals and sets every copula
+    correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``."""
+    wv = as_weight_vector(w)
+    if wv.d != model.d:
+        raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
+    mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas
+    scale = np.outer(wv.values, wv.values) * np.exp(
+        mu[:, None] + mu[None, :] + 0.5 * (var[:, None] + var[None, :]))
+    comonotone = np.outer(s, s)
+    np.fill_diagonal(comonotone, var)
+    terms = ~np.eye(wv.d, dtype=bool) | diagonal
+    num = math.fsum((scale * np.expm1(model.cov))[terms].tolist())
+    return num / math.fsum((scale * np.expm1(comonotone))[terms].tolist())
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
@@ -321,43 +370,14 @@ def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
 def rhix_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
     """Covariance-ratio index: off-diagonal covariance mass relative to its
     comonotonic ceiling.  Sensitive to the marginal volatilities."""
-    wv = as_weight_vector(w)
-    if wv.d != model.d:
-        raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
-    cov = model.cov
-    var = np.diag(cov)
-    mu = model.mu
-    s = model.sigmas
-    num = 0.0
-    den = 0.0
-    for i in range(wv.d):
-        for j in range(i + 1, wv.d):
-            ww = wv.values[i] * wv.values[j]
-            num += ww * _lognormal_cov(mu[i], mu[j], var[i], var[j], cov[i, j])
-            den += ww * _lognormal_cov(mu[i], mu[j], var[i], var[j], s[i] * s[j])
-    return num / den
+    return _covariance_ratio(w, model, diagonal=False)
 
 
 def hix_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
     """Variance-ratio index ``Var[S] / Var[S^c]`` under lognormality, where the
     comonotonic version keeps the marginals and sets all copula correlations
     to one.  Diagonal variance terms stay in both numerator and denominator."""
-    wv = as_weight_vector(w)
-    if wv.d != model.d:
-        raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
-    cov = model.cov
-    var = np.diag(cov)
-    mu = model.mu
-    s = model.sigmas
-    num = 0.0
-    den = 0.0
-    for i in range(wv.d):
-        for j in range(wv.d):
-            ww = wv.values[i] * wv.values[j]
-            num += ww * _lognormal_cov(mu[i], mu[j], var[i], var[j], cov[i, j])
-            comon = var[i] if i == j else s[i] * s[j]
-            den += ww * _lognormal_cov(mu[i], mu[j], var[i], var[j], comon)
-    return num / den
+    return _covariance_ratio(w, model, diagonal=True)
 
 
 def rhix_degeneracy_curve(

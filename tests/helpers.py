@@ -1,5 +1,6 @@
-"""Shared test utilities: uniformity statistics, reference samplers, and the
-brute-force rank-correlation oracle."""
+"""Shared test utilities: uniformity statistics, reference samplers, the
+brute-force rank-correlation oracle, and the per-pair loops that the matrix
+kernels of ``wcm.indices`` replaced, kept as oracles."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from wcm.copula import SampleMatrix, make_rng
+from wcm.errors import DegenerateDataError, DomainError
 
 
 def ks_uniform_statistic(x: np.ndarray) -> float:
@@ -85,3 +88,61 @@ def empirical_cdf_on_grid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     np.add.at(counts, (idx[0][inside], idx[1][inside], idx[2][inside]), 1.0)
     cum = counts.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2)
     return cum / len(values)
+
+
+def pearson_on_ranks_oracle(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rank vectors with exact +/-1 fast paths."""
+    n = len(rx)
+    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+        raise DegenerateDataError("constant column: rank correlation is undefined")
+    if np.array_equal(rx, ry):
+        return 1.0
+    if np.array_equal(ry, (n + 1.0) - rx):
+        return -1.0
+    ax = rx - rx.mean()
+    ay = ry - ry.mean()
+    r = float((ax @ ay) / math.sqrt((ax @ ax) * (ay @ ay)))
+    return min(1.0, max(-1.0, r))
+
+
+def gaussian_spearman_oracle(rho: float) -> float:
+    """Scalar ``(6/pi) * asin(rho/2)`` with exact endpoints and zero."""
+    if rho in (-1.0, 0.0, 1.0):
+        return float(rho)
+    return min(1.0, max(-1.0, (6.0 / math.pi) * math.asin(0.5 * rho)))
+
+
+def window_pair_rhos_oracle(block: np.ndarray, estimator: str):
+    """One window's pairs, rhos and skipped (constant-column) pairs, computed
+    one pair at a time: mid-rank Pearson, or ``corrcoef`` then the arcsine map."""
+    d = block.shape[1]
+    constant = [bool(np.ptp(block[:, k]) == 0.0) for k in range(d)]
+    pairs, rhos, skipped = [], [], []
+    ranks = rankdata(block, method="average", axis=0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if constant[i] or constant[j]:
+                skipped.append((i, j))
+                continue
+            pairs.append((i, j))
+            if estimator == "rank":
+                rhos.append(pearson_on_ranks_oracle(ranks[:, i], ranks[:, j]))
+            elif estimator == "lognormal":
+                corr = float(np.corrcoef(block[:, i], block[:, j])[0, 1])
+                rhos.append(gaussian_spearman_oracle(min(1.0, max(-1.0, corr))))
+            else:
+                raise DomainError(f"unknown estimator {estimator!r}")
+    return tuple(pairs), tuple(rhos), tuple(skipped)
+
+
+def covariance_ratio_oracle(w, model, diagonal: bool) -> float:
+    """HIX (``diagonal``) or RHIX of a lognormal model, one pair at a time."""
+    mu, var, s = model.mu, np.diag(model.cov), model.sigmas
+    num = den = 0.0
+    for i in range(len(w)):
+        for j in range(len(w)) if diagonal else range(i + 1, len(w)):
+            ww = w[i] * w[j]
+            growth = math.exp(mu[i] + mu[j] + 0.5 * (var[i] + var[j]))
+            num += ww * (growth * math.expm1(model.cov[i, j]))
+            den += ww * (growth * math.expm1(var[i] if i == j else s[i] * s[j]))
+    return num / den
