@@ -17,7 +17,7 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .copula import SampleMatrix, build_grouped_wcm, spawn_rngs
+from .copula import SampleMatrix, build_grouped_wcm, sample_values, spawn_rngs
 from .errors import DimensionError, DomainError
 from .weights import (
     WeightVector,
@@ -103,13 +103,7 @@ def _draw_dots(sampler: Sampler, weights: np.ndarray, n: int, rng: np.random.Gen
     # Samplers take integer seeds; derive one from the batch's own stream so
     # batches stay independent and reproducible.
     seed = int(rng.integers(0, 2**63 - 1))
-    out = sampler.sample(n, seed)
-    values = out.values if isinstance(out, SampleMatrix) else np.asarray(out, float)
-    if values.shape[1] != len(weights):
-        raise DimensionError(
-            f"sampler returned {values.shape[1]} columns for {len(weights)} weights"
-        )
-    return values @ weights
+    return sample_values(sampler.sample(n, seed), len(weights)) @ weights
 
 
 def _batch_moments(x: np.ndarray) -> tuple[int, float, float, float, float]:
@@ -221,15 +215,6 @@ def variance_bound_report(
     )
 
 
-def _as_matrix(samples: "SampleMatrix | np.ndarray", wv: WeightVector) -> np.ndarray:
-    values = samples.values if isinstance(samples, SampleMatrix) else np.asarray(samples, float)
-    if values.ndim != 2 or values.shape[1] != wv.d:
-        raise DimensionError(
-            f"sample has shape {values.shape}, expected (n, {wv.d})"
-        )
-    return values
-
-
 def covariance_identity_check(
     samples: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]"
 ) -> float:
@@ -239,7 +224,7 @@ def covariance_identity_check(
     residual is zero up to floating point on any sample.
     """
     wv = as_weight_vector(w)
-    values = _as_matrix(samples, wv)
+    values = sample_values(samples, wv.d)
     if values.shape[0] < 2:
         raise DimensionError("need at least 2 rows")
     weights = np.array(wv.values)
@@ -264,7 +249,7 @@ def lemma_m_check(
         raise DomainError(
             f"requires 2*max(w) == sum(w); got 2*{wv.wmax} != {wv.s1}"
         )
-    values = _as_matrix(samples, wv)
+    values = sample_values(samples, wv.d)
     if values.shape[0] < 2:
         raise DimensionError("need at least 2 rows")
     col = int(np.argmax(wv.values))

@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import io
 import json
+import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
 import os
 import secrets
 import sys

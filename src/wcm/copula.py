@@ -22,9 +22,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with this module, not on the first draw
 
 from .errors import (
     DimensionError,
@@ -33,6 +34,7 @@ from .errors import (
     MassNormalizationError,
 )
 from .weights import (
+    CONSTRUCTION_TOL,
     GroupPartition,
     WeightVector,
     as_weight_vector,
@@ -54,6 +56,7 @@ __all__ = [
     "build_triangle",
     "build_grouped_wcm",
     "check_wcm",
+    "sample_values",
     "frechet_bounds",
     "make_rng",
     "spawn_rngs",
@@ -61,8 +64,6 @@ __all__ = [
 
 GENERATOR_NAME = "pcg64"
 
-#: Pure-arithmetic construction checks.
-_CONSTRUCTION_TOL = 1e-12
 #: Sample-level support checks (accumulated rounding over linear combinations).
 SUPPORT_TOL = 1e-9
 
@@ -131,6 +132,23 @@ class SampleMatrix:
         return buf.getvalue()
 
 
+def sample_values(samples: "SampleMatrix | np.ndarray", d: int) -> np.ndarray:
+    """The float values of a sample matrix or array; raises
+    :class:`DimensionError` unless their shape is ``(n, d)``."""
+    values = samples.values if isinstance(samples, SampleMatrix) else np.asarray(samples, float)
+    if values.ndim != 2 or values.shape[1] != d:
+        raise DimensionError(f"sample has shape {values.shape}, expected (n, {d})")
+    return values
+
+
+def _sampled(n: int, seed: int, draw: Callable, meta: dict) -> SampleMatrix:
+    """The sample path every copula shares: ``draw(rng, n)`` on the generator
+    seeded by ``seed``, wrapped with its seed and metadata."""
+    if n < 1:
+        raise DimensionError(f"sample size must be >= 1, got {n}")
+    return SampleMatrix(draw(make_rng(seed), n), seed=seed, meta=meta)
+
+
 def triangle_params(w: Sequence[float]) -> tuple[float, float, float]:
     """Interior vertex coordinates for the triangle supporting a weight triple.
 
@@ -154,7 +172,7 @@ def triangle_params(w: Sequence[float]) -> tuple[float, float, float]:
 
 def _clamp_unit(z: float, wv: WeightVector) -> float:
     if z < 0.0 or z > 1.0:
-        if -_CONSTRUCTION_TOL <= z <= 1.0 + _CONSTRUCTION_TOL:
+        if -CONSTRUCTION_TOL <= z <= 1.0 + CONSTRUCTION_TOL:
             return min(1.0, max(0.0, z))
         raise ExistenceError(
             f"weights {wv.values} do not form triangle side lengths: "
@@ -191,59 +209,13 @@ def edge_masses(z: Sequence[float]) -> tuple[float, float, float]:
         (abc - c * a + c) / denom,
     )
     total = math.fsum(masses)
-    if abs(total - 1.0) > _CONSTRUCTION_TOL:
+    if abs(total - 1.0) > CONSTRUCTION_TOL:
         raise MassNormalizationError(
             f"edge masses sum to {total:.17g}, not 1: z={z!r} is not an admissible triple"
         )
-    if min(masses) < -_CONSTRUCTION_TOL:
+    if min(masses) < -CONSTRUCTION_TOL:
         raise MassNormalizationError(f"negative edge mass in {masses!r} for z={z!r}")
     return tuple(max(0.0, m) for m in masses)  # type: ignore[return-value]
-
-
-def _edge_fraction_leq(a: Sequence[float], b: Sequence[float], k: int, q: float) -> float:
-    """Length of ``{t in [0,1] : (1-t)*a[k] + t*b[k] <= q}``."""
-    ak, bk = a[k], b[k]
-    if ak == bk:
-        return 1.0 if ak <= q else 0.0
-    s = (q - ak) / (bk - ak)
-    if bk > ak:
-        return min(1.0, max(0.0, s))
-    return min(1.0, max(0.0, 1.0 - s))
-
-
-def _solve_edge_masses(vertices: Sequence[Sequence[float]]) -> tuple[float, float, float]:
-    """Solve the uniformity system for the edge masses of a triangle copula.
-
-    Each coordinate's marginal CDF is piecewise linear with kinks only at
-    vertex coordinate values, so requiring ``P(U_k <= q) == q`` at the middle
-    vertex value, the midpoints of the adjacent linear pieces, and 1 pins the
-    marginal to the identity.  The resulting overdetermined linear system
-    (plus total mass one) is solved by least squares and verified.
-    """
-    rows: list[list[float]] = []
-    rhs: list[float] = []
-    for k in range(3):
-        middle = sorted(v[k] for v in vertices)[1]
-        for q in (0.5 * middle, middle, 0.5 * (1.0 + middle), 1.0):
-            rows.append([_edge_fraction_leq(vertices[i], vertices[j], k, q) for i, j in _EDGES])
-            rhs.append(q)
-    rows.append([1.0, 1.0, 1.0])
-    rhs.append(1.0)
-    coeffs = np.array(rows)
-    target = np.array(rhs)
-    masses, *_ = np.linalg.lstsq(coeffs, target, rcond=None)
-    residual = float(np.max(np.abs(coeffs @ masses - target)))
-    if residual > 1e-10:
-        raise MassNormalizationError(
-            f"uniformity system unsolvable for vertices {vertices!r} (residual {residual:.3g})"
-        )
-    if float(masses.min()) < -_CONSTRUCTION_TOL:
-        raise MassNormalizationError(f"negative edge mass {masses!r} for vertices {vertices!r}")
-    masses = np.maximum(masses, 0.0)
-    total = math.fsum(masses.tolist())
-    if abs(total - 1.0) > _CONSTRUCTION_TOL:
-        raise MassNormalizationError(f"edge masses sum to {total:.17g}, not 1")
-    return tuple(float(m) for m in masses)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -264,8 +236,8 @@ class TriangleCopula:
 
     def __post_init__(self) -> None:
         s1 = math.fsum(self.weights)
-        tol = _CONSTRUCTION_TOL * max(1.0, s1)
-        if abs(math.fsum(self.masses) - 1.0) > _CONSTRUCTION_TOL or min(self.masses) < 0.0:
+        tol = CONSTRUCTION_TOL * max(1.0, s1)
+        if abs(math.fsum(self.masses) - 1.0) > CONSTRUCTION_TOL or min(self.masses) < 0.0:
             raise MassNormalizationError(f"invalid edge masses {self.masses!r}")
         for z in self.z_values:
             if not (0.0 <= z <= 1.0):
@@ -306,16 +278,9 @@ class TriangleCopula:
     def sample(self, n: int, seed: int) -> SampleMatrix:
         """Draw ``n`` observations: pick an edge by mass, then a uniform
         position along it.  Deterministic given ``seed``."""
-        if n < 1:
-            raise DimensionError(f"sample size must be >= 1, got {n}")
-        rng = make_rng(seed)
-        values = self._draw(rng, n)
-        return SampleMatrix(
-            values,
-            seed=seed,
-            meta={"weights": list(self.weights), "variant": self.variant,
-                  "construction": "triangle"},
-        )
+        meta = {"weights": list(self.weights), "variant": self.variant,
+                "construction": "triangle"}
+        return _sampled(n, seed, self._draw, meta)
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cum = np.cumsum(self.masses)
@@ -373,32 +338,27 @@ def build_triangle(w: Sequence[float], variant: str = "A") -> TriangleCopula:
     """Construct the triangle copula for a weight triple.
 
     Variant "A" places vertices ``(1, z1, 0), (0, 1, z2), (z3, 0, 1)`` with
-    closed-form edge masses.  Variant "B" uses the mirror layout
-    ``(1, 0, z1*), (z2*, 1, 0), (0, z3*, 1)`` with starred z-values (the same
-    numerators over the cyclically shifted denominators); its masses come from
-    re-solving the uniformity system for that geometry.  Both are valid and
-    differ as functions: the construction is not unique.
+    closed-form edge masses.  Variant "B" is its mirror image, variant A on
+    ``(w1, w3, w2)`` with coordinates 2 and 3 swapped: vertices
+    ``(1, 0, z1*), (z2*, 1, 0), (0, z3*, 1)``, with the z-values and the edge
+    masses of that triangle relabeled to match.  Both are valid and differ as
+    functions: the construction is not unique.
     """
     wv = as_weight_vector(w)
     if wv.d != 3:
         raise DimensionError(f"triangle construction needs exactly 3 weights, got {wv.d}")
-    w1, w2, w3 = wv.values
-    if variant == "A":
-        z = triangle_params(wv)
-        vertices = ((1.0, z[0], 0.0), (0.0, 1.0, z[1]), (z[2], 0.0, 1.0))
-        masses = edge_masses(z)
-    elif variant == "B":
-        raw = (
-            math.fsum((w2, w3, -w1)) / (2.0 * w3),
-            math.fsum((w3, w1, -w2)) / (2.0 * w1),
-            math.fsum((w1, w2, -w3)) / (2.0 * w2),
-        )
-        z = tuple(_clamp_unit(v, wv) for v in raw)
-        vertices = ((1.0, 0.0, z[0]), (z[1], 1.0, 0.0), (0.0, z[2], 1.0))
-        masses = _solve_edge_masses(vertices)
-    else:
+    if variant not in ("A", "B"):
         raise DomainError(f"variant must be 'A' or 'B', got {variant!r}")
-    return TriangleCopula(wv.values, z, vertices, masses, variant)  # type: ignore[arg-type]
+    # Also the existence check for "B", so its error names the weights as given.
+    z = triangle_params(wv)
+    if variant == "A":
+        vertices = ((1.0, z[0], 0.0), (0.0, 1.0, z[1]), (z[2], 0.0, 1.0))
+        return TriangleCopula(wv.values, z, vertices, edge_masses(z), variant)
+    w1, w2, w3 = wv.values
+    a = build_triangle((w1, w3, w2), "A")
+    p1, p2, p3 = ((p[0], p[2], p[1]) for p in a.vertices)
+    (z1, z2, z3), (m12, m23, m31) = a.z_values, a.masses
+    return TriangleCopula(wv.values, (z1, z3, z2), (p1, p3, p2), (m31, m23, m12), variant)
 
 
 @dataclass(frozen=True)
@@ -417,16 +377,12 @@ class CountermonotonicPair:
         return max(u1 + u2 - 1.0, 0.0)
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        if n < 1:
-            raise DimensionError(f"sample size must be >= 1, got {n}")
-        rng = make_rng(seed)
+        meta = {"weights": list(self.weights), "construction": "countermonotonic"}
+        return _sampled(n, seed, self._draw, meta)
+
+    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
-        values = np.column_stack([u, 1.0 - u])
-        return SampleMatrix(
-            values,
-            seed=seed,
-            meta={"weights": list(self.weights), "construction": "countermonotonic"},
-        )
+        return np.column_stack([u, 1.0 - u])
 
 
 @dataclass(frozen=True)
@@ -438,33 +394,33 @@ class GroupedWCMCopula:
     partition: GroupPartition
     inner: TriangleCopula
 
+    def __post_init__(self) -> None:
+        if self.partition.indices != tuple(range(self.d)):
+            raise DimensionError(f"groups {self.partition.groups} do not cover {self.d} weights")
+
     @property
     def d(self) -> int:
         return len(self.weights)
 
+    def cdf(self, u: Sequence[float]) -> float:
+        """Exact CDF: coordinates within a group are equal, so only each
+        group's smallest coordinate binds, ``C_tri(min_A u, min_B u, min_C u)``."""
+        point = _require_unit_cube(u, self.d)
+        return self.inner.cdf(tuple(min(point[i] for i in g) for g in self.partition.groups))
+
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        if n < 1:
-            raise DimensionError(f"sample size must be >= 1, got {n}")
-        rng = make_rng(seed)
-        inner = self.inner._draw(rng, n)
-        values = np.empty((n, self.d))
-        for col_group, group in enumerate(
-            (self.partition.group_a, self.partition.group_b, self.partition.group_c)
-        ):
-            for original_index in group:
-                values[:, original_index] = inner[:, col_group]
-        return SampleMatrix(
-            values,
-            seed=seed,
-            meta={
-                "weights": list(self.weights),
-                "construction": "grouped",
-                "groups": [list(self.partition.group_a),
-                           list(self.partition.group_b),
-                           list(self.partition.group_c)],
-                "aggregates": list(self.partition.aggregates),
-            },
-        )
+        col_of = np.empty(self.d, dtype=np.intp)
+        for col, group in enumerate(self.partition.groups):
+            col_of[list(group)] = col
+        meta = {"weights": list(self.weights), "construction": "grouped",
+                "groups": [list(group) for group in self.partition.groups],
+                "aggregates": list(self.partition.aggregates)}
+        # C order, unlike inner[:, col_of]: the bits of a downstream ``values @ w``
+        # depend on the layout.  col_of is in range, so "clip" only skips checks.
+        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+            return self.inner._draw(rng, n).take(col_of, axis=1, mode="clip")
+
+        return _sampled(n, seed, draw, meta)
 
 
 def build_grouped_wcm(
@@ -500,10 +456,9 @@ class ComonotonicCopula:
         return min(_require_unit_cube(u, self.d))
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        rng = make_rng(seed)
-        v = rng.random(n)
-        return SampleMatrix(
-            np.tile(v[:, None], (1, self.d)), seed=seed, meta={"construction": "comonotonic"}
+        return _sampled(
+            n, seed, lambda rng, n: np.tile(rng.random(n)[:, None], (1, self.d)),
+            {"construction": "comonotonic"},
         )
 
 
@@ -517,9 +472,8 @@ class IndependenceCopula:
         return float(np.prod(_require_unit_cube(u, self.d)))
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        rng = make_rng(seed)
-        return SampleMatrix(
-            rng.random((n, self.d)), seed=seed, meta={"construction": "independence"}
+        return _sampled(
+            n, seed, lambda rng, n: rng.random((n, self.d)), {"construction": "independence"}
         )
 
 
@@ -532,12 +486,8 @@ def check_wcm(
 
     Returns ``(ok, max_deviation)``.
     """
-    values = samples.values if isinstance(samples, SampleMatrix) else np.asarray(samples, float)
     wv = as_weight_vector(w)
-    if values.ndim != 2 or values.shape[1] != wv.d:
-        raise DimensionError(
-            f"sample has {values.shape[1] if values.ndim == 2 else '?'} columns, weights have {wv.d}"
-        )
+    values = sample_values(samples, wv.d)
     dots = values @ np.array(wv.values)
     max_dev = float(np.max(np.abs(dots - 0.5 * wv.s1))) if len(dots) else 0.0
     return max_dev <= tol, max_dev
@@ -549,8 +499,6 @@ def frechet_bounds(u: Sequence[float]) -> tuple[float, float]:
     point = tuple(float(v) for v in u)
     if len(point) < 2:
         raise DimensionError("need at least 2 coordinates")
-    for v in point:
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"coordinate {v!r} outside the unit cube")
+    _require_unit_cube(point, len(point))
     lower = max(math.fsum(point) - (len(point) - 1), 0.0)
     return lower, min(point)

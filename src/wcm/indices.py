@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .copula import SampleMatrix, make_rng
 from .errors import (
@@ -408,6 +407,8 @@ def rhix_degeneracy_curve(
 def gaussian_copula_sample(corr: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` observations from the Gaussian copula with the given
     correlation matrix (strictly positive definite)."""
+    # Imported here: it dominates the package's import time and no CLI command needs it.
+    from scipy.special import ndtr
     corr = np.asarray(corr, dtype=float)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise DimensionError(f"need a square correlation matrix, got shape {corr.shape}")

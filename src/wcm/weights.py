@@ -26,11 +26,12 @@ __all__ = [
     "variance_lower_bound",
     "variance_upper_bound",
     "partition_weights",
+    "CONSTRUCTION_TOL",
 ]
 
-# Internal consistency asserts on derived quantities allow this much slack;
-# the user-facing existence test itself is evaluated exactly as written.
-_CONSTRUCTION_TOL = 1e-12
+#: Slack for consistency checks on derived quantities in the constructions;
+#: the user-facing existence test itself is evaluated exactly as written.
+CONSTRUCTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,17 +94,20 @@ class GroupPartition:
     aggregates: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        groups = (self.group_a, self.group_b, self.group_c)
-        seen = [i for g in groups for i in g]
+        seen = [i for g in self.groups for i in g]
         if len(seen) != len(set(seen)):
             raise DimensionError("partition groups must be disjoint")
-        if any(len(g) == 0 for g in groups):
+        if any(len(g) == 0 for g in self.groups):
             raise DimensionError("partition groups must all be nonempty")
-        tol = _CONSTRUCTION_TOL * max(1.0, math.fsum(self.aggregates))
+        tol = CONSTRUCTION_TOL * max(1.0, math.fsum(self.aggregates))
         if 2.0 * max(self.aggregates) > math.fsum(self.aggregates) + tol:
             raise ExistenceError(
                 f"aggregate weights {self.aggregates} violate the triangle condition"
             )
+
+    @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        return (self.group_a, self.group_b, self.group_c)
 
     @property
     def indices(self) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Shared test utilities: uniformity statistics, reference samplers, the
-brute-force rank-correlation oracle, and the per-pair loops that the matrix
-kernels of ``wcm.indices`` replaced, kept as oracles."""
+brute-force rank-correlation oracle, the per-pair loops that the matrix
+kernels of ``wcm.indices`` replaced, and the least-squares variant-B
+construction that the closed form of ``wcm.copula`` replaced, kept as
+oracles."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from wcm.copula import SampleMatrix, make_rng
-from wcm.errors import DegenerateDataError, DomainError
+from wcm.errors import DegenerateDataError, DomainError, MassNormalizationError
 
 
 def ks_uniform_statistic(x: np.ndarray) -> float:
@@ -146,3 +148,68 @@ def covariance_ratio_oracle(w, model, diagonal: bool) -> float:
             num += ww * (growth * math.expm1(model.cov[i, j]))
             den += ww * (growth * math.expm1(var[i] if i == j else s[i] * s[j]))
     return num / den
+
+
+_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
+def edge_fraction_leq_oracle(a, b, k: int, q: float) -> float:
+    """Length of ``{t in [0,1] : (1-t)*a[k] + t*b[k] <= q}``."""
+    ak, bk = a[k], b[k]
+    if ak == bk:
+        return 1.0 if ak <= q else 0.0
+    s = (q - ak) / (bk - ak)
+    if bk > ak:
+        return min(1.0, max(0.0, s))
+    return min(1.0, max(0.0, 1.0 - s))
+
+
+def solve_edge_masses_oracle(vertices) -> tuple[float, float, float]:
+    """Solve the uniformity system for the edge masses of a triangle copula.
+
+    Each coordinate's marginal CDF is piecewise linear with kinks only at
+    vertex coordinate values, so requiring ``P(U_k <= q) == q`` at the middle
+    vertex value, the midpoints of the adjacent linear pieces, and 1 pins the
+    marginal to the identity.  The resulting overdetermined linear system
+    (plus total mass one) is solved by least squares and verified.
+    """
+    rows: list[list[float]] = []
+    rhs: list[float] = []
+    for k in range(3):
+        middle = sorted(v[k] for v in vertices)[1]
+        for q in (0.5 * middle, middle, 0.5 * (1.0 + middle), 1.0):
+            rows.append([edge_fraction_leq_oracle(vertices[i], vertices[j], k, q)
+                         for i, j in _EDGES])
+            rhs.append(q)
+    rows.append([1.0, 1.0, 1.0])
+    rhs.append(1.0)
+    coeffs = np.array(rows)
+    target = np.array(rhs)
+    masses, *_ = np.linalg.lstsq(coeffs, target, rcond=None)
+    residual = float(np.max(np.abs(coeffs @ masses - target)))
+    if residual > 1e-10:
+        raise MassNormalizationError(
+            f"uniformity system unsolvable for vertices {vertices!r} (residual {residual:.3g})"
+        )
+    if float(masses.min()) < -1e-12:
+        raise MassNormalizationError(f"negative edge mass {masses!r} for vertices {vertices!r}")
+    masses = np.maximum(masses, 0.0)
+    total = math.fsum(masses.tolist())
+    if abs(total - 1.0) > 1e-12:
+        raise MassNormalizationError(f"edge masses sum to {total:.17g}, not 1")
+    return tuple(float(m) for m in masses)  # type: ignore[return-value]
+
+
+def variant_b_oracle(w):
+    """Variant B of an admissible triple as first built: its own z-formulae,
+    the mirror vertex layout, and masses from ``solve_edge_masses_oracle``.
+    Returns ``(z, vertices, masses)``."""
+    w1, w2, w3 = (float(v) for v in w)
+    raw = (
+        math.fsum((w2, w3, -w1)) / (2.0 * w3),
+        math.fsum((w3, w1, -w2)) / (2.0 * w1),
+        math.fsum((w1, w2, -w3)) / (2.0 * w2),
+    )
+    z = tuple(min(1.0, max(0.0, v)) for v in raw)
+    vertices = ((1.0, 0.0, z[0]), (z[1], 1.0, 0.0), (0.0, z[2], 1.0))
+    return z, vertices, solve_edge_masses_oracle(vertices)

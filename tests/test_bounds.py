@@ -75,6 +75,14 @@ class TestMcVariance:
         threaded = mc_variance(sampler, (1, 2, 3), 3 * 10**5, seed=44, threads=4)
         assert serial == threaded
 
+    def test_rejects_sampler_of_wrong_shape(self):
+        class FlatSampler:
+            def sample(self, n, seed):
+                return np.zeros(n)
+
+        with pytest.raises(DimensionError):
+            mc_variance(FlatSampler(), (1, 1), 10, seed=1)
+
     def test_needs_two_draws(self):
         with pytest.raises(DimensionError):
             mc_variance(IndependenceCopula(2), (1, 1), 1, seed=1)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import empirical_cdf_on_grid, ks_critical_1pct, ks_uniform_statistic
+from helpers import (
+    empirical_cdf_on_grid,
+    ks_critical_1pct,
+    ks_uniform_statistic,
+    variant_b_oracle,
+)
 from wcm.copula import (
     ComonotonicCopula,
     CountermonotonicPair,
@@ -19,6 +24,7 @@ from wcm.copula import (
     check_wcm,
     edge_masses,
     frechet_bounds,
+    make_rng,
     triangle_params,
 )
 from wcm.errors import (
@@ -27,9 +33,11 @@ from wcm.errors import (
     ExistenceError,
     MassNormalizationError,
 )
+from wcm.weights import GroupPartition
 
+positive_weight = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
 triple_strategy = st.lists(
-    st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False),
+    positive_weight,
     min_size=3,
     max_size=3,
 ).map(tuple).filter(lambda w: 2 * max(w) <= sum(w))
@@ -107,6 +115,23 @@ class TestBuildTriangle:
             assert b.masses[0] == pytest.approx(a.masses[2], abs=1e-12)
             assert b.masses[1] == pytest.approx(a.masses[1], abs=1e-12)
             assert b.masses[2] == pytest.approx(a.masses[0], abs=1e-12)
+
+    @given(
+        st.one_of(
+            triple_strategy,
+            # degenerate boundary: one weight is the sum of the other two
+            st.tuples(positive_weight, positive_weight).map(lambda ab: (ab[0] + ab[1], *ab)),
+        ).flatmap(lambda w: st.permutations(w).map(tuple)).filter(
+            lambda w: 2 * max(w) <= math.fsum(w)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_variant_b_matches_least_squares_oracle(self, w):
+        z, vertices, masses = variant_b_oracle(w)
+        b = build_triangle(w, "B")
+        assert b.z_values == z
+        assert b.vertices == vertices
+        assert max(abs(x - y) for x, y in zip(b.masses, masses)) <= 1e-13
 
     def test_variant_b_543_frozen(self):
         b = build_triangle((5, 4, 3), "B")
@@ -208,6 +233,8 @@ MARGINAL_CASES = [
     ("triangle (1,1,1) A", lambda: build_triangle((1, 1, 1), "A")),
     ("inner of (1,1,1,1)", lambda: build_grouped_wcm((1, 1, 1, 1)).inner),
     ("inner of (3,3,2,2)", lambda: build_grouped_wcm((3, 3, 2, 2)).inner),
+    ("grouped (1,1,1,1)", lambda: build_grouped_wcm((1, 1, 1, 1))),
+    ("grouped (3,3,2,2)", lambda: build_grouped_wcm((3, 3, 2, 2))),
 ]
 
 
@@ -216,9 +243,11 @@ def test_exact_uniform_marginals_on_grid(label, factory):
     """CDF with all other coordinates at 1 must equal the identity exactly."""
     copula = factory()
     grid = np.linspace(0.0, 1.0, 101)
-    for k in range(3):
+    for k in range(copula.d):
         for u in grid:
-            assert abs(copula.marginal_cdf(k, float(u)) - u) <= 1e-12, (label, k, u)
+            point = [1.0] * copula.d
+            point[k] = float(u)
+            assert abs(copula.cdf(point) - u) <= 1e-12, (label, k, u)
 
 
 SUPPORT_WEIGHTS = [(1, 1, 1), (5, 4, 3), (1, 1, 1, 1), (3, 3, 2, 2)]
@@ -289,6 +318,20 @@ class TestSampling:
         with pytest.raises(DimensionError):
             build_triangle((1, 1, 1), "A").sample(0, seed=1)
 
+    @pytest.mark.parametrize("w", [(1, 1, 1, 1), (3, 3, 2, 2), (5, 4, 3), (6, 5, 4, 3, 3, 2, 2)])
+    def test_grouped_gather_matches_column_copy(self, w):
+        g = build_grouped_wcm(w)
+        inner = g.inner._draw(make_rng(8), 1000)
+        expected = np.empty((1000, g.d))
+        for col, group in enumerate(
+            (g.partition.group_a, g.partition.group_b, g.partition.group_c)
+        ):
+            for i in group:
+                expected[:, i] = inner[:, col]
+        values = g.sample(1000, seed=8).values
+        assert np.array_equal(values, expected)
+        assert values.flags.c_contiguous
+
     @given(
         st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=2, max_size=6).map(tuple)
     )
@@ -303,6 +346,23 @@ class TestSampling:
         assert ok, max_dev
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "copula",
+    [
+        build_triangle((5, 4, 3), "B"),
+        build_grouped_wcm((3, 3, 2, 2)),
+        CountermonotonicPair((1.0, 1.0)),
+        ComonotonicCopula(3),
+        IndependenceCopula(3),
+    ],
+    ids=lambda c: type(c).__name__,
+)
+def test_every_copula_rejects_nonpositive_sample_size(copula, n):
+    with pytest.raises(DimensionError):
+        copula.sample(n, seed=1)
+
+
 class TestGrouped:
     def test_equal_quadruple_structure(self):
         g = build_grouped_wcm((1, 1, 1, 1))
@@ -311,6 +371,14 @@ class TestGrouped:
         assert g.partition.group_b == (2,)
         assert g.partition.group_c == (1, 3)
         assert g.inner.weights == (1.0, 1.0, 2.0)
+
+    def test_partition_must_cover_every_coordinate(self):
+        with pytest.raises(DimensionError):
+            GroupedWCMCopula(
+                (1.0, 1.0, 1.0, 1.0),
+                GroupPartition((0,), (1,), (2,), (1.0, 1.0, 1.0)),
+                build_triangle((1, 1, 1)),
+            )
 
     def test_543_aggregates(self):
         g = build_grouped_wcm((5, 4, 3))
