@@ -114,7 +114,7 @@ def _cmd_sample(args) -> int:
     matrix = copula.sample(args.n, seed)
     if args.format == "json":
         payload = matrix.to_json_dict()
-        payload["rows"] = [list(map(float, row)) for row in matrix.values]
+        payload["rows"] = matrix.values.tolist()
         payload["manifest"] = _manifest(args, seed, {})
         _emit_json(payload, args.out)
     else:
@@ -247,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("cdf", help="exact CDF: `cdf W1 W2 W3 -- U1 U2 U3`")
+    p = sub.add_parser(
+        "cdf", help="exact CDF: `cdf W1 W2 W3 -- U1 U2 U3`, options anywhere before `--`"
+    )
     p.add_argument("values", nargs="+", type=float)
     p.add_argument("--variant", choices=("A", "B"), default="A")
     p.add_argument("--out", help="write JSON here instead of stdout")
@@ -286,7 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "cdf":
+        # An option between the weights and the point ends ``values`` early, so
+        # the point arrives as leftovers.
+        try:
+            args.values += [float(v) for v in (rest[1:] if rest[:1] == ["--"] else rest)]
+            rest = []
+        except ValueError:
+            pass
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     args._argv = argv
     try:
         return args.func(args)

@@ -18,11 +18,9 @@ are reproducible bit-for-bit regardless of scheduling.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with this module, not on the first draw
@@ -69,6 +67,7 @@ SUPPORT_TOL = 1e-9
 
 _EDGES = ((0, 1), (1, 2), (2, 0))
 _EDGE_LABELS = ("m12", "m23", "m31")
+_CSV_BLOCK = 1 << 14  # rows per block of CSV text: bounds the strings held at once
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -95,8 +94,8 @@ class SampleMatrix:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError(f"sample matrix must be 2-d, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[1] < 1:
+            raise DimensionError(f"sample matrix must be 2-d with a column, got shape {arr.shape}")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -115,21 +114,25 @@ class SampleMatrix:
     def to_csv(self, path_or_buf) -> None:
         """Write one observation per row with header ``u1,...,ud``."""
         if hasattr(path_or_buf, "write"):
-            self._write_csv(path_or_buf)
+            path_or_buf.writelines(self._csv_blocks())
         else:
             with open(path_or_buf, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"u{k + 1}" for k in range(self.d)])
-        for row in self.values:
-            writer.writerow([repr(float(x)) for x in row])
+                fh.writelines(self._csv_blocks())
 
     def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
+        return "".join(self._csv_blocks())
+
+    def _csv_blocks(self) -> Iterator[str]:
+        """The header, then blocks of rows of ``repr`` cells.  Each bitwise-distinct
+        column is formatted once per block; bits, unlike ``==``, tell -0.0 from 0.0."""
+        yield ",".join(f"u{k + 1}" for k in range(self.d)) + "\n"
+        bits = self.values.view(np.uint64)
+        first = [next(k for k in range(j + 1) if np.array_equal(bits[:, k], bits[:, j]))
+                 for j in range(self.d)]
+        for start in range(0, self.n, _CSV_BLOCK):
+            block = self.values[start:start + _CSV_BLOCK]
+            text = {k: list(map(repr, block[:, k].tolist())) for k in set(first)}
+            yield "\n".join(map(",".join, zip(*(text[k] for k in first)))) + "\n"
 
 
 def sample_values(samples: "SampleMatrix | np.ndarray", d: int) -> np.ndarray:
@@ -280,16 +283,18 @@ class TriangleCopula:
         position along it.  Deterministic given ``seed``."""
         meta = {"weights": list(self.weights), "variant": self.variant,
                 "construction": "triangle"}
-        return _sampled(n, seed, self._draw, meta)
+        return _sampled(n, seed, lambda rng, n: np.column_stack(self._columns(rng, n)), meta)
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def _columns(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+        """The three coordinate columns of ``n`` draws."""
         cum = np.cumsum(self.masses)
-        edge_idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 2)
+        u = rng.random(n)
+        # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
+        edge = np.add(u >= cum[0], u >= cum[1], dtype=np.intp)
         t = rng.random(n)
-        verts = np.array(self.vertices)
-        start = verts[[e[0] for e in _EDGES]][edge_idx]
-        end = verts[[e[1] for e in _EDGES]][edge_idx]
-        return t[:, None] * start + (1.0 - t)[:, None] * end
+        s = 1.0 - t
+        start, end = (np.array([self.vertices[e[side]] for e in _EDGES]).T for side in (0, 1))
+        return tuple(t * a.take(edge) + s * b.take(edge) for a, b in zip(start, end))
 
     def to_dict(self) -> dict:
         return {
@@ -409,16 +414,14 @@ class GroupedWCMCopula:
         return self.inner.cdf(tuple(min(point[i] for i in g) for g in self.partition.groups))
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        col_of = np.empty(self.d, dtype=np.intp)
-        for col, group in enumerate(self.partition.groups):
-            col_of[list(group)] = col
+        col_of = {i: col for col, group in enumerate(self.partition.groups) for i in group}
         meta = {"weights": list(self.weights), "construction": "grouped",
                 "groups": [list(group) for group in self.partition.groups],
                 "aggregates": list(self.partition.aggregates)}
-        # C order, unlike inner[:, col_of]: the bits of a downstream ``values @ w``
-        # depend on the layout.  col_of is in range, so "clip" only skips checks.
+        # C order (column_stack): the bits of a downstream ``values @ w`` depend on it
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            return self.inner._draw(rng, n).take(col_of, axis=1, mode="clip")
+            cols = self.inner._columns(rng, n)
+            return np.column_stack([cols[col_of[i]] for i in range(self.d)])
 
         return _sampled(n, seed, draw, meta)
 

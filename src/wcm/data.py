@@ -220,7 +220,9 @@ class WindowSix:
 @dataclass(frozen=True)
 class RollingSixSeries:
     """Per-window SIX values; windows index return rows, and each window is
-    stamped with the price date of its last return."""
+    stamped with the price date of its last return.  ``pairs_dropped`` counts
+    the pairs left out over all windows (constant columns); ``load_report``
+    is the price series' own, if it was read from a file."""
 
     weights: tuple[float, ...]
     window: int
@@ -228,6 +230,8 @@ class RollingSixSeries:
     estimator: str
     entries: tuple[WindowSix, ...]
     skipped: tuple[tuple[dt.date, str], ...] = field(default_factory=tuple)
+    pairs_dropped: int = 0
+    load_report: LoadReport | None = None
 
     def to_csv(self, path_or_buf) -> None:
         if hasattr(path_or_buf, "write"):
@@ -262,6 +266,9 @@ class RollingSixSeries:
                 for e in self.entries
             ],
             "skipped": [[d.isoformat(), reason] for d, reason in self.skipped],
+            "pairs_dropped": self.pairs_dropped,
+            "rows_read": self.load_report.rows_read if self.load_report else None,
+            "rows_dropped": self.load_report.rows_dropped if self.load_report else None,
         }
 
     def to_json(self) -> str:
@@ -305,7 +312,7 @@ def rolling_six(
     terms = np.outer(wv.values, wv.values)[np.triu_indices(p.d, 1)]
     entries: list[WindowSix] = []
     skipped: list[tuple[dt.date, str]] = []
-    windows_with_dropped_pairs = 0
+    windows_with_dropped_pairs = pairs_dropped = 0
     for start, stop in rolling_windows(len(returns), window, step):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
         block = returns[start:stop]
@@ -313,6 +320,7 @@ def rolling_six(
         n_pairs = int(np.count_nonzero(keep))
         if n_pairs < len(keep):
             windows_with_dropped_pairs += 1
+            pairs_dropped += len(keep) - n_pairs
         if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))
             continue
@@ -345,4 +353,6 @@ def rolling_six(
         estimator=estimator,
         entries=tuple(entries),
         skipped=tuple(skipped),
+        pairs_dropped=pairs_dropped,
+        load_report=p.load_report,
     )

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .copula import SampleMatrix, make_rng
+from .copula import SampleMatrix, make_rng, sample_values
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -264,9 +264,9 @@ def six_from_matrix(
 
 def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> SixReport:
     """Rank-based SIX of a data matrix (columns are variables)."""
-    values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
-    sm = spearman_matrix(values)
-    return six_from_matrix(sm, w, n=values.shape[0])
+    wv = as_weight_vector(w)
+    values = sample_values(data, wv.d)
+    return six_from_matrix(spearman_matrix(values), wv, n=values.shape[0])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Shared test utilities: uniformity statistics, reference samplers, the
 brute-force rank-correlation oracle, the per-pair loops that the matrix
 kernels of ``wcm.indices`` replaced, and the least-squares variant-B
-construction that the closed form of ``wcm.copula`` replaced, kept as
-oracles."""
+construction that the closed form of ``wcm.copula`` replaced, and the
+row-wise sample draw, gather and CSV writer that its column-wise path
+replaced, kept as oracles."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -213,3 +216,35 @@ def variant_b_oracle(w):
     z = tuple(min(1.0, max(0.0, v)) for v in raw)
     vertices = ((1.0, 0.0, z[0]), (z[1], 1.0, 0.0), (0.0, z[2], 1.0))
     return z, vertices, solve_edge_masses_oracle(vertices)
+
+
+def triangle_draw_oracle(tri, rng: np.random.Generator, n: int) -> np.ndarray:
+    """A triangle copula's ``(n, 3)`` draw as first written: ``searchsorted``
+    on the cumulative edge masses, then one broadcast between edge ends."""
+    cum = np.cumsum(tri.masses)
+    edge_idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 2)
+    t = rng.random(n)
+    verts = np.array(tri.vertices)
+    start = verts[[e[0] for e in _EDGES]][edge_idx]
+    end = verts[[e[1] for e in _EDGES]][edge_idx]
+    return t[:, None] * start + (1.0 - t)[:, None] * end
+
+
+def grouped_sample_oracle(g, n: int, seed: int) -> np.ndarray:
+    """A grouped copula's sample as first written: the triangle draw, then one
+    C-order ``take`` of its columns."""
+    col_of = np.empty(g.d, dtype=np.intp)
+    for col, group in enumerate(g.partition.groups):
+        col_of[list(group)] = col
+    return triangle_draw_oracle(g.inner, make_rng(seed), n).take(col_of, axis=1, mode="clip")
+
+
+def csv_oracle(values: np.ndarray) -> str:
+    """A sample matrix's CSV text as first written: ``csv.writer`` over the
+    ``repr`` of every cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"u{k + 1}" for k in range(values.shape[1])])
+    for row in values:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue()

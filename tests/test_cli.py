@@ -1,6 +1,7 @@
 """Command-line surface: JSON outputs, exit codes, manifests, determinism."""
 
 import datetime as dt
+import hashlib
 import json
 import subprocess
 import sys
@@ -74,6 +75,19 @@ class TestCdf:
     def test_wrong_arity(self, capsys):
         assert main(["cdf", "5", "4", "3", "--", "1", "0.25"]) == 1
 
+    def test_option_between_weights_and_point(self, capsys):
+        _, between = run_json(capsys, ["cdf", "5", "4", "3", "--variant", "B", "--",
+                                       "0.3", "0.6", "0.9"])
+        _, first = run_json(capsys, ["cdf", "--variant", "B", "5", "4", "3", "--",
+                                     "0.3", "0.6", "0.9"])
+        del between["manifest"], first["manifest"]
+        assert between == first
+        assert between["variant"] == "B"
+        assert main(["cdf", "5", "4", "3", "--variant", "B", "--", "0.3", "0.6"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["cdf", "5", "4", "3", "--variant", "B", "--", "0.3", "--bogus", "0.9"])
+        assert exc.value.code == 2
+
 
 class TestSample:
     def test_deterministic_outputs(self, capsys, tmp_path):
@@ -121,6 +135,40 @@ class TestSample:
     def test_variant_b_rejected_off_triangle(self, capsys):
         assert main(["sample", "1", "1", "1", "1", "--n", "10", "--seed", "1",
                      "--variant", "B"]) == 1
+
+
+class TestGoldenOutputs:
+    """Outputs recorded from the row-wise sample path that the column-wise one
+    replaced; every byte must stay."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("sample 6 5 4 3 3 2 2 2 1 1 1 1 --n 2000 --seed 1",
+         "51ef4dae966226ab0e979a7dd7896b4a3f03e862e44e1581c5ba8ec02aa0c6ed"),
+        ("sample 5 4 3 --variant B --n 500 --seed 4",
+         "ee8b73c9feadbaad7aea7ec71af86fba0650813dbd1fd36b109cc5636c07ba78"),
+    ])
+    def test_sample_csv_digest(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("sample 6 5 4 3 3 2 --n 300 --seed 3 --format json",
+         "a23a535c47fe8d324c6718866d8b5076c92d0dc06c9b75dd8ae7eb53120581b7"),
+        ("sample 5 4 3 --variant B --n 40 --seed 2 --format json",
+         "ea921860b3eebf864e02193b5652c8bef53807a2f9bf903132a70bc9d80f659d"),
+    ])
+    def test_sample_json_digest(self, capsys, argv, digest):
+        _, payload = run_json(capsys, argv.split())
+        del payload["manifest"]  # carries the package version
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_estimate(self, capsys, threads):
+        _, payload = run_json(capsys, ["bounds", "5", "1", "1", "--mc", "1000000", "--seed", "7",
+                                       "--json", "--threads", threads])
+        mc = payload["mc"]
+        assert (mc["estimate"], mc["stderr"]) == (0.7506236055863352, 0.0006710822794497262)
 
 
 class TestBounds:
@@ -189,6 +237,29 @@ class TestSixCommand:
         assert code == 0
         assert payload["estimator"] == "lognormal"
         assert payload["entries"]
+
+    def test_json_counts_dropped_rows_and_pairs(self, capsys, tmp_path):
+        rng = np.random.default_rng(6)
+        prices = 100 * np.exp(np.cumsum(0.02 * rng.standard_normal((60, 3)), axis=0))
+        prices[10:36, 2] = prices[10, 2]  # CCC halts: return rows 10..34 are 0
+        lines = ["date,AAA,BBB,CCC"]
+        day = dt.date(2022, 1, 3)
+        for k, row in enumerate(prices):
+            lines.append(",".join([day.isoformat()] + [repr(float(v)) for v in row]))
+            day += dt.timedelta(days=1)
+            if k in (5, 40):  # malformed rows: a missing cell, a negative price
+                lines.append(f"{day.isoformat()},1.0,," if k == 5 else f"{day.isoformat()},1,-2,3")
+                day += dt.timedelta(days=1)
+        path = tmp_path / "halted.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match="dropped constant-column pairs in 4 windows"):
+            code, payload = run_json(capsys, ["six", str(path), "--window", "10", "--step", "5",
+                                              "--json"])
+        assert code == 0
+        assert (payload["rows_read"], payload["rows_dropped"]) == (62, 2)
+        # windows [10, 20), [15, 25), [20, 30) and [25, 35) drop CCC's two pairs
+        assert payload["pairs_dropped"] == 8
+        assert sum(3 - e["n_pairs"] for e in payload["entries"]) == 8
 
     def test_missing_file(self, capsys, tmp_path):
         with pytest.raises(OSError):

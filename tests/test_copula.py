@@ -1,6 +1,7 @@
 """Triangle construction, exact CDF, sampling, grouped lifting, and the
 support/uniformity invariants."""
 
+import io
 import math
 
 import numpy as np
@@ -9,16 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    csv_oracle,
     empirical_cdf_on_grid,
+    grouped_sample_oracle,
     ks_critical_1pct,
     ks_uniform_statistic,
+    triangle_draw_oracle,
     variant_b_oracle,
 )
 from wcm.copula import (
+    _CSV_BLOCK,
     ComonotonicCopula,
     CountermonotonicPair,
     GroupedWCMCopula,
     IndependenceCopula,
+    SampleMatrix,
     build_grouped_wcm,
     build_triangle,
     check_wcm,
@@ -321,7 +327,7 @@ class TestSampling:
     @pytest.mark.parametrize("w", [(1, 1, 1, 1), (3, 3, 2, 2), (5, 4, 3), (6, 5, 4, 3, 3, 2, 2)])
     def test_grouped_gather_matches_column_copy(self, w):
         g = build_grouped_wcm(w)
-        inner = g.inner._draw(make_rng(8), 1000)
+        inner = triangle_draw_oracle(g.inner, make_rng(8), 1000)
         expected = np.empty((1000, g.d))
         for col, group in enumerate(
             (g.partition.group_a, g.partition.group_b, g.partition.group_c)
@@ -331,6 +337,66 @@ class TestSampling:
         values = g.sample(1000, seed=8).values
         assert np.array_equal(values, expected)
         assert values.flags.c_contiguous
+
+    @given(
+        st.one_of(triple_strategy, st.sampled_from([(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1, 2)])),
+        st.sampled_from(["A", "B"]),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_triangle_columns_match_row_wise_draw(self, w, variant, n, seed):
+        # Degenerate triples put zero mass on edges, so the edge index meets
+        # repeated cumulative masses.
+        tri = build_triangle(w, variant)
+        values = tri.sample(n, seed).values
+        expected = triangle_draw_oracle(tri, make_rng(seed), n)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("w", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (5, 4, 3), (1, 1, 1)])
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_edge_index_at_cumulative_masses(self, w, variant):
+        # Uniforms that hit the cumulative masses exactly, and their neighbours.
+        tri = build_triangle(w, variant)
+        cum = np.cumsum(tri.masses)
+        u = np.array([0.0, *cum[:2], *np.nextafter(cum[:2], 0.0), *np.nextafter(cum[:2], 1.0)])
+        u = np.minimum(u, np.nextafter(1.0, 0.0))
+        t = np.linspace(0.0, 1.0, len(u), endpoint=False)
+
+        class Replay:
+            def __init__(self):
+                self.draws = [u, t]
+
+            def random(self, n):
+                return self.draws.pop(0)[:n]
+
+        values = np.column_stack(tri._columns(Replay(), len(u)))
+        expected = triangle_draw_oracle(tri, Replay(), len(u))
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @given(
+        st.one_of(
+            st.lists(positive_weight, min_size=3, max_size=12).filter(
+                lambda w: 2 * max(w) <= sum(w)
+            ),
+            st.sampled_from([
+                (1, 1, 1, 1), (2, 1, 1), (4, 1, 1, 1, 1), (6, 5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1),
+            ]),
+        ),
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_columns_match_take_gather(self, w, n, seed):
+        g = build_grouped_wcm(w)
+        values = g.sample(n, seed).values
+        expected = grouped_sample_oracle(g, n, seed)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        weights = np.array(g.weights)
+        assert np.array_equal((values @ weights).view(np.uint64),
+                              (expected @ weights).view(np.uint64))
 
     @given(
         st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=2, max_size=6).map(tuple)
@@ -444,7 +510,53 @@ class TestFrechetBounds:
             frechet_bounds((1.2, 0.5))
 
 
+cell_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 3.2e-05, 1.0, 0.1, 1e-300, math.inf, math.nan]),
+    st.floats(),
+)
+
+
 class TestSampleMatrix:
+    @pytest.mark.parametrize("copula", [
+        ComonotonicCopula(4),
+        IndependenceCopula(3),
+        build_grouped_wcm((3, 3, 2, 2, 1)),
+        build_triangle((5, 4, 3), "B"),
+    ])
+    def test_csv_matches_csv_writer(self, copula, tmp_path):
+        # More rows than one block of CSV text, so the text crosses a block boundary.
+        s = copula.sample(_CSV_BLOCK + 3, seed=5)
+        expected = csv_oracle(s.values)
+        assert s.to_csv_string() == expected
+        buf = io.StringIO()
+        s.to_csv(buf)
+        assert buf.getvalue() == expected
+        s.to_csv(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_csv_of_hand_built_matrix_matches_csv_writer(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=30))
+        columns = data.draw(
+            st.lists(st.lists(cell_value, min_size=n, max_size=n), min_size=1, max_size=4)
+        )
+        pick = data.draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, max_size=8))
+        values = np.array([columns[j] for j in pick], dtype=float).T  # Fortran order
+        if data.draw(st.booleans()):
+            values = np.ascontiguousarray(values)
+        assert SampleMatrix(values, seed=None).to_csv_string() == csv_oracle(values)
+
+    def test_rejects_matrix_without_columns(self):
+        with pytest.raises(DimensionError):
+            SampleMatrix(np.empty((3, 0)), seed=None)
+
+    def test_csv_tells_negative_zero_from_zero(self):
+        values = np.array([[0.0, -0.0, 0.0, 5e-324, 3.2e-05, 3.2e-05]])
+        text = SampleMatrix(values, seed=None).to_csv_string()
+        assert text == "u1,u2,u3,u4,u5,u6\n0.0,-0.0,0.0,5e-324,3.2e-05,3.2e-05\n"
+        assert text == csv_oracle(values)
+
     def test_csv_round_trip(self):
         s = build_triangle((5, 4, 3), "A").sample(25, seed=11)
         text = s.to_csv_string()

@@ -122,6 +122,16 @@ class TestSix:
         )
         assert six(transformed, (5, 4, 3)).six == base
 
+    def test_column_count_checked_before_ranking(self):
+        # A constant column cannot be ranked; the shape error must come first.
+        data = np.column_stack([np.arange(10.0), np.ones(10), np.arange(10.0) ** 2])
+        with pytest.raises(DimensionError):
+            six(data, (1, 1, 1, 1))
+        with pytest.raises(DimensionError):
+            six(ComonotonicCopula(2).sample(10, seed=1), (1, 1, 1))
+        with pytest.raises(DegenerateDataError):
+            six(data, (1, 1, 1))
+
     def test_estimator_tag(self):
         s = IndependenceCopula(2).sample(50, seed=8)
         assert six(s, (1, 1)).estimator == "rank-sample"
