@@ -3,126 +3,11 @@ of uniforms, and the marginal-free SIX herd behavior index."""
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    McEstimate,
-    VarianceBoundReport,
-    covariance_identity_check,
-    lemma_m_check,
-    mc_variance,
-    optimal_coupling,
-    variance_bound_report,
-)
-from .copula import (
-    GENERATOR_NAME,
-    ComonotonicCopula,
-    CountermonotonicPair,
-    GroupedWCMCopula,
-    IndependenceCopula,
-    SampleMatrix,
-    TriangleCopula,
-    build_grouped_wcm,
-    build_triangle,
-    check_wcm,
-    edge_masses,
-    frechet_bounds,
-    triangle_params,
-)
-from .data import (
-    PriceSeries,
-    RollingSixSeries,
-    WindowSix,
-    detrend_by_index,
-    load_prices,
-    log_returns,
-    rolling_six,
-    rolling_windows,
-)
-from .indices import (
-    LognormalModel,
-    SixReport,
-    SpearmanMatrix,
-    gaussian_copula_sample,
-    gaussian_spearman,
-    hix_lognormal,
-    rhix_degeneracy_curve,
-    rhix_lognormal,
-    rhix_lognormal_bivariate,
-    six,
-    six_bounds,
-    six_from_matrix,
-    six_lognormal,
-    spearman_matrix,
-    spearman_matrix_gaussian,
-    spearman_rho,
-)
-from .weights import (
-    GroupPartition,
-    WeightVector,
-    existence_deficit,
-    partition_weights,
-    shrink_weights,
-    validate_wcm_existence,
-    variance_lower_bound,
-    variance_upper_bound,
-)
+from . import bounds, copula, data, indices, weights
 
-__all__ = [
-    "__version__",
-    "GENERATOR_NAME",
-    # weights
-    "WeightVector",
-    "GroupPartition",
-    "validate_wcm_existence",
-    "existence_deficit",
-    "shrink_weights",
-    "variance_lower_bound",
-    "variance_upper_bound",
-    "partition_weights",
-    # copula
-    "TriangleCopula",
-    "GroupedWCMCopula",
-    "CountermonotonicPair",
-    "ComonotonicCopula",
-    "IndependenceCopula",
-    "SampleMatrix",
-    "triangle_params",
-    "edge_masses",
-    "build_triangle",
-    "build_grouped_wcm",
-    "check_wcm",
-    "frechet_bounds",
-    # bounds
-    "McEstimate",
-    "VarianceBoundReport",
-    "optimal_coupling",
-    "mc_variance",
-    "variance_bound_report",
-    "covariance_identity_check",
-    "lemma_m_check",
-    # indices
-    "SpearmanMatrix",
-    "SixReport",
-    "LognormalModel",
-    "spearman_rho",
-    "spearman_matrix",
-    "spearman_matrix_gaussian",
-    "gaussian_spearman",
-    "six",
-    "six_from_matrix",
-    "six_bounds",
-    "six_lognormal",
-    "rhix_lognormal_bivariate",
-    "rhix_lognormal",
-    "hix_lognormal",
-    "rhix_degeneracy_curve",
-    "gaussian_copula_sample",
-    # data
-    "PriceSeries",
-    "RollingSixSeries",
-    "WindowSix",
-    "load_prices",
-    "detrend_by_index",
-    "log_returns",
-    "rolling_windows",
-    "rolling_six",
-]
+# The package namespace is every module's ``__all__``, so each list is kept once.
+__all__ = ["__version__"]
+for _module in (weights, copula, bounds, indices, data):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

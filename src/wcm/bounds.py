@@ -38,6 +38,9 @@ __all__ = [
     "lemma_m_check",
 ]
 
+# Draws per Monte Carlo batch; each batch has its own child stream.
+MC_BATCH = 1 << 18
+
 
 class Sampler(Protocol):
     def sample(self, n: int, seed: int) -> SampleMatrix: ...
@@ -143,24 +146,23 @@ def mc_variance(
     w: "WeightVector | Iterable[float]",
     n: int,
     seed: int,
-    batch_size: int = 1 << 18,
     threads: int = 1,
 ) -> tuple[float, float]:
     """Unbiased sample variance of ``w . u`` over ``n`` draws, with its
     standard error.
 
-    Draws arrive in batches on independent child streams; per-batch central
-    moments are merged in batch order, so the result does not depend on the
-    thread count.  The standard error uses the fourth central moment:
-    ``sqrt((m4 - m2^2 (n-3)/(n-1)) / n)``.
+    Draws arrive in batches of ``MC_BATCH`` on independent child streams;
+    per-batch central moments are merged in batch order, so the result does
+    not depend on the thread count.  The standard error uses the fourth
+    central moment: ``sqrt((m4 - m2^2 (n-3)/(n-1)) / n)``.
     """
     if n < 2:
         raise DimensionError(f"variance needs n >= 2, got {n}")
     wv = as_weight_vector(w)
     weights = np.array(wv.values)
-    sizes = [batch_size] * (n // batch_size)
-    if n % batch_size:
-        sizes.append(n % batch_size)
+    sizes = [MC_BATCH] * (n // MC_BATCH)
+    if n % MC_BATCH:
+        sizes.append(n % MC_BATCH)
     rngs = spawn_rngs(seed, len(sizes))
 
     def one(i: int):

@@ -35,7 +35,9 @@ def _digest(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
-def _manifest(args: argparse.Namespace, seed: int | None, outputs: dict[str, str]) -> dict:
+def _manifest(
+    args: argparse.Namespace, seed: int | None, outputs: dict[str, str], **counts: int
+) -> dict:
     return {
         "command": args.command,
         "argv": args._argv,
@@ -43,6 +45,7 @@ def _manifest(args: argparse.Namespace, seed: int | None, outputs: dict[str, str
         "generator": GENERATOR_NAME if seed is not None else None,
         "version": __version__,
         "outputs": outputs,
+        **counts,
     }
 
 
@@ -55,18 +58,20 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_with_manifest(text: str, out_path: str | None, args, seed: int | None) -> None:
+def _write_with_manifest(
+    text: str, out_path: str | None, args, seed: int | None, **counts: int
+) -> None:
     """Write tabular output plus a sidecar manifest (stderr when streaming)."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-        manifest = _manifest(args, seed, {out_path: _digest(text)})
+        manifest = _manifest(args, seed, {out_path: _digest(text)}, **counts)
         with open(out_path + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
     else:
         sys.stdout.write(text)
-        manifest = _manifest(args, seed, {"-": _digest(text)})
+        manifest = _manifest(args, seed, {"-": _digest(text)}, **counts)
         sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
 
 
@@ -181,14 +186,20 @@ def _cmd_six(args) -> int:
         step=args.step,
         estimator=args.estimator,
     )
+    counts = {
+        "rows_read": series.load_report.rows_read,
+        "rows_dropped": series.load_report.rows_dropped,
+        "pairs_dropped": rolling.pairs_dropped,
+        "windows_skipped": len(rolling.skipped),
+    }
     if args.json:
         payload = rolling.to_json_dict()
-        payload["manifest"] = _manifest(args, None, {})
+        payload["manifest"] = _manifest(args, None, {}, **counts)
         _emit_json(payload, args.out)
     else:
         buf = io.StringIO()
         rolling.to_csv(buf)
-        _write_with_manifest(buf.getvalue(), args.out, args, None)
+        _write_with_manifest(buf.getvalue(), args.out, args, None, **counts)
     return 0
 
 

@@ -449,11 +449,19 @@ def build_grouped_wcm(
     return GroupedWCMCopula(wv.values, partition, inner)
 
 
+def _require_dimension(d: int) -> None:
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
+
+
 @dataclass(frozen=True)
 class ComonotonicCopula:
     """All coordinates equal to one shared uniform draw."""
 
     d: int
+
+    def __post_init__(self) -> None:
+        _require_dimension(self.d)
 
     def cdf(self, u: Sequence[float]) -> float:
         return min(_require_unit_cube(u, self.d))
@@ -470,6 +478,9 @@ class IndependenceCopula:
     """Coordinates drawn independently."""
 
     d: int
+
+    def __post_init__(self) -> None:
+        _require_dimension(self.d)
 
     def cdf(self, u: Sequence[float]) -> float:
         return float(np.prod(_require_unit_cube(u, self.d)))

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .indices import correlation_matrix, gaussian_spearman, six_bounds, weighted_six
+from .indices import (correlation_matrix, gaussian_spearman, pair_weight_matrix,
+                      six_bounds, weighted_six)
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -116,9 +115,10 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
 
     Rows with missing cells or non-positive prices are dropped and counted in
     the load report.  Duplicate dates and out-of-order dates are errors, not
-    silently repaired.
+    silently repaired, and so are empty or repeated ticker names.  A leading
+    UTF-8 byte-order mark is skipped.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -129,6 +129,8 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         tickers = [h.strip() for h in header[1:]]
         if len(tickers) < 1:
             raise DomainError(f"{path}: no price columns")
+        if "" in tickers or len(set(tickers)) < len(tickers):
+            raise DomainError(f"{path}: ticker names must be nonempty and distinct, got {tickers}")
         if index_column is not None and index_column not in tickers:
             raise DomainError(f"{path}: index column {index_column!r} not in {tickers}")
         rows: list[tuple[dt.date, list[float]]] = []
@@ -271,23 +273,18 @@ class RollingSixSeries:
             "rows_dropped": self.load_report.rows_dropped if self.load_report else None,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
-
-def _window_pair_rhos(block: np.ndarray, estimator: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rhos of one window's pairs ``i < j`` in row-major order, and the mask
-    of the pairs to keep: a pair touching a constant column is dropped rather
-    than poisoning the whole window (its rho is NaN)."""
+def _window_pair_rhos(block: np.ndarray, estimator: str) -> np.ndarray:
+    """One window's ``d x d`` matrix of Spearman's rhos.  A pair touching a
+    column that is constant in the window is NaN, so it is left out rather
+    than poisoning the whole window."""
     if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
-    corr, varying = correlation_matrix(block, ranks=estimator == "rank")
-    upper = np.triu_indices(block.shape[1], 1)
-    rhos = corr[upper]
-    keep = varying[upper[0]] & varying[upper[1]]
+    rho = correlation_matrix(block, ranks=estimator == "rank")
     if estimator == "lognormal":
-        rhos[keep] = gaussian_spearman(rhos[keep])
-    return rhos, keep
+        kept = ~np.isnan(rho)
+        rho[kept] = gaussian_spearman(rho[kept])
+    return rho
 
 
 def rolling_six(
@@ -301,30 +298,30 @@ def rolling_six(
 
     Pairs whose columns are constant inside a window are dropped from the
     weighted average (the remaining pair weights are renormalized); a window
-    with no valid pair left is skipped.  Values outside the sharp bounds get
-    ``within_bounds=False`` (sampling noise, flagged not fatal).
+    with no valid pair left is skipped.  Both are counted in the result
+    (``pairs_dropped``, ``skipped``), not warned about.  Values outside the
+    sharp bounds get ``within_bounds=False`` (sampling noise, flagged not
+    fatal).
     """
     wv = as_weight_vector(w if w is not None else (1.0,) * p.d)
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")
     returns = log_returns(p)
     bounds = six_bounds(wv)
-    terms = np.outer(wv.values, wv.values)[np.triu_indices(p.d, 1)]
+    pair_w = pair_weight_matrix(wv)
+    all_pairs = p.d * (p.d - 1) // 2
     entries: list[WindowSix] = []
     skipped: list[tuple[dt.date, str]] = []
-    windows_with_dropped_pairs = pairs_dropped = 0
+    pairs_dropped = 0
     for start, stop in rolling_windows(len(returns), window, step):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
         block = returns[start:stop]
-        rhos, keep = _window_pair_rhos(block, estimator)
-        n_pairs = int(np.count_nonzero(keep))
-        if n_pairs < len(keep):
-            windows_with_dropped_pairs += 1
-            pairs_dropped += len(keep) - n_pairs
+        value, within, used = weighted_six(_window_pair_rhos(block, estimator), pair_w, bounds)
+        n_pairs = int(np.count_nonzero(used))
+        pairs_dropped += all_pairs - n_pairs
         if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))
             continue
-        value, within = weighted_six(rhos[keep], terms[keep], bounds)
         entries.append(
             WindowSix(
                 end_date=end_date,
@@ -334,17 +331,6 @@ def rolling_six(
                 n_pairs=n_pairs,
                 within_bounds=within,
             )
-        )
-    if skipped:
-        warnings.warn(
-            f"skipped {len(skipped)} of {len(skipped) + len(entries)} windows "
-            "(constant columns)",
-            stacklevel=2,
-        )
-    elif windows_with_dropped_pairs:
-        warnings.warn(
-            f"dropped constant-column pairs in {windows_with_dropped_pairs} windows",
-            stacklevel=2,
         )
     return RollingSixSeries(
         weights=wv.values,

@@ -23,12 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .copula import SampleMatrix, make_rng, sample_values
-from .errors import (
-    DegenerateDataError,
-    DimensionError,
-    DomainError,
-    ModelError,
-)
+from .errors import DegenerateDataError, DimensionError, DomainError, ModelError
 from .weights import WeightVector, as_weight_vector, variance_lower_bound
 
 __all__ = [
@@ -44,6 +39,7 @@ __all__ = [
     "six",
     "six_from_matrix",
     "weighted_six",
+    "pair_weight_matrix",
     "six_bounds",
     "six_lognormal",
     "rhix_lognormal_bivariate",
@@ -78,11 +74,11 @@ def midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def correlation_matrix(x: np.ndarray, ranks: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def correlation_matrix(x: np.ndarray, ranks: bool = True) -> np.ndarray:
     """Pairwise correlations of the columns of an ``(n, d)`` array from one
     Gram product of the centred columns: ``G = A.T @ A`` and ``rho_ij =
-    G_ij / sqrt(G_ii G_jj)`` clipped to [-1, 1], with the mask of non-constant
-    columns (the rows and columns of constant ones are NaN).
+    G_ij / sqrt(G_ii G_jj)`` clipped to [-1, 1].  The rows and columns of
+    constant columns are NaN.
 
     ``ranks``: Spearman's rho, on mid-ranks centred on ``(n + 1) / 2``.  These
     are multiples of 1/2, so for ``n`` below about 2e5 the product is exact in
@@ -101,7 +97,7 @@ def correlation_matrix(x: np.ndarray, ranks: bool = True) -> tuple[np.ndarray, n
     if not ranks:  # below the Gram's rounding: exactly linear columns give +/-1
         linear = np.abs(rho) >= 1.0 - x.shape[0] * np.finfo(float).eps
         rho[linear] = np.sign(rho[linear])
-    return rho, varying
+    return rho
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
@@ -116,36 +112,33 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
         raise DimensionError("spearman_rho expects 1-d columns")
     if len(xa) != len(ya):
         raise DimensionError(f"length mismatch: {len(xa)} vs {len(ya)}")
-    if len(xa) < 2:
-        raise DimensionError("need at least 2 observations")
-    return spearman_matrix(np.column_stack((xa, ya))).rhos[0]
+    return spearman_matrix(np.column_stack((xa, ya))).rho(0, 1)
 
 
 @dataclass(frozen=True)
 class SpearmanMatrix:
-    """Upper triangle of pairwise Spearman's rhos with an estimator tag."""
+    """A ``d x d`` matrix of pairwise Spearman's rhos with an estimator tag;
+    only its upper triangle is read, and NaN marks a pair that is left out."""
 
-    d: int
-    pairs: tuple[tuple[int, int], ...]
-    rhos: tuple[float, ...]
+    matrix: np.ndarray
     estimator: str
 
     def __post_init__(self) -> None:
-        if any(not -1.0 <= r <= 1.0 for r in self.rhos):
-            raise DomainError(f"rho outside [-1, 1] in {self.rhos!r}")
-        # not a field: equality, repr and asdict see only the four above
-        object.__setattr__(self, "_lookup", dict(zip(self.pairs, self.rhos)))
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+            raise DimensionError(f"need a square rho matrix with d >= 2, got shape {m.shape}")
+        if (np.abs(m) > 1.0).any():
+            raise DomainError(f"rho outside [-1, 1] in {m!r}")
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def d(self) -> int:
+        return len(self.matrix)
 
     def rho(self, i: int, j: int) -> float:
         if i == j:
             return 1.0
-        return self._lookup[(min(i, j), max(i, j))]
-
-
-def _from_upper(rho: np.ndarray, estimator: str) -> SpearmanMatrix:
-    rows, cols = np.triu_indices(len(rho), 1)
-    pairs = tuple(zip(rows.tolist(), cols.tolist()))
-    return SpearmanMatrix(len(rho), pairs, tuple(rho[rows, cols].tolist()), estimator)
+        return float(self.matrix[min(i, j), max(i, j)])
 
 
 def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
@@ -157,10 +150,10 @@ def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
         raise DimensionError("need at least 2 observations")
     if not np.isfinite(values).all():
         raise DomainError("data must be finite to be ranked")
-    rho, varying = correlation_matrix(values)
-    if not varying.all():
+    rho = correlation_matrix(values)
+    if np.isnan(rho).any():
         raise DegenerateDataError("constant column: rank correlation is undefined")
-    return _from_upper(rho, "rank-sample")
+    return SpearmanMatrix(rho, "rank-sample")
 
 
 def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
@@ -179,10 +172,7 @@ def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
 
 def spearman_matrix_gaussian(corr: np.ndarray) -> SpearmanMatrix:
     """Closed-form Spearman matrix implied by a Gaussian copula correlation matrix."""
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or corr.shape[0] < 2:
-        raise DimensionError(f"need a square correlation matrix, got shape {corr.shape}")
-    return _from_upper(gaussian_spearman(np.triu(corr, 1)), "closed-form-gaussian")
+    return SpearmanMatrix(gaussian_spearman(corr), "closed-form-gaussian")
 
 
 @dataclass(frozen=True)
@@ -218,25 +208,44 @@ class SixReport:
         return f"{w},{self.six!r},{self.lower_bound!r},{self.upper_bound!r},{self.estimator},{self.n}"
 
 
+def _unit_scaled(w: "WeightVector | Iterable[float]") -> WeightVector:
+    """``w`` times the power of two that puts its largest entry in [1/2, 1):
+    exact, and SIX and its bounds do not change, but ``w_i w_j`` and ``S1^2``
+    neither underflow nor overflow for weights such as 1e-200 or 1e200."""
+    wv = as_weight_vector(w)
+    shift = -math.frexp(wv.wmax)[1]
+    return WeightVector(tuple(math.ldexp(v, shift) for v in wv.values))
+
+
 def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     """Sharp SIX range ``((12*l(w) - S2) / (S1^2 - S2), 1)``."""
-    wv = as_weight_vector(w)
-    lower = (12.0 * variance_lower_bound(wv) - wv.s2) / (wv.s1 ** 2 - wv.s2)
+    wv = _unit_scaled(w)
+    lower = (12.0 * variance_lower_bound(wv) - wv.s2) / (wv.s1 * wv.s1 - wv.s2)
     return lower, 1.0
 
 
-def weighted_six(
-    rhos: np.ndarray, terms: np.ndarray, bounds: tuple[float, float]
-) -> tuple[float, bool]:
-    """SIX from pair rhos and their weights ``w_i w_j``:
-    ``fsum(terms * rhos) / fsum(terms)``, and whether it lies within the sharp
-    ``bounds`` up to ``BOUND_SLACK``.
+def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
+    """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
+    a ``d x d`` matrix, NaN on and below the diagonal, with ``w`` scaled as in
+    ``_unit_scaled``."""
+    v = np.array(_unit_scaled(w).values)
+    return np.where(np.tri(len(v), dtype=bool), np.nan, np.outer(v, v))
 
-    Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
-    """
-    value = math.fsum((terms * rhos).tolist()) / math.fsum(terms.tolist())
+
+def weighted_six(
+    rho: np.ndarray, pair_w: np.ndarray, bounds: tuple[float, float]
+) -> tuple[float, bool, np.ndarray]:
+    """SIX from a ``d x d`` rho matrix and the ``pair_weight_matrix``:
+    ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
+    is not NaN (NaN if no weight is left), whether it lies within the sharp
+    ``bounds`` up to ``BOUND_SLACK``, and the mask of the pairs used.  Both
+    sums are correctly rounded, so rhos that are all one give exactly 1.0."""
+    terms = pair_w * rho
+    used = ~np.isnan(terms)
+    total = math.fsum(pair_w[used].tolist())
+    value = math.fsum(terms[used].tolist()) / total if total else math.nan
     lower, upper = bounds
-    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK
+    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, used
 
 
 def six_from_matrix(
@@ -246,16 +255,19 @@ def six_from_matrix(
     wv = as_weight_vector(w)
     if wv.d != sm.d:
         raise DimensionError(f"weights have d={wv.d} but matrix has d={sm.d}")
-    terms = np.array([wv.values[i] * wv.values[j] for i, j in sm.pairs])
+    pair_w = pair_weight_matrix(wv)
     bounds = six_bounds(wv)
-    value, within = weighted_six(np.array(sm.rhos), terms, bounds)
-    denominator = math.fsum(terms.tolist())
+    value, within, used = weighted_six(sm.matrix, pair_w, bounds)
+    if math.isnan(value):
+        raise DegenerateDataError("every pair of the rho matrix is left out")
+    weights = pair_w[used]
     return SixReport(
         weights=wv.values,
         six=value,
         lower_bound=bounds[0],
         upper_bound=bounds[1],
-        pair_weights=tuple(zip(sm.pairs, (terms / denominator).tolist())),
+        pair_weights=tuple(zip(map(tuple, np.argwhere(used).tolist()),
+                               (weights / math.fsum(weights.tolist())).tolist())),
         estimator=sm.estimator,
         n=n,
         within_bounds=within,

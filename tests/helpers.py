@@ -1,9 +1,9 @@
 """Shared test utilities: uniformity statistics, reference samplers, the
-brute-force rank-correlation oracle, the per-pair loops that the matrix
-kernels of ``wcm.indices`` replaced, and the least-squares variant-B
-construction that the closed form of ``wcm.copula`` replaced, and the
-row-wise sample draw, gather and CSV writer that its column-wise path
-replaced, kept as oracles."""
+brute-force rank-correlation oracle, the per-pair loops and the pairs-tuple
+SIX average that the matrix kernels of ``wcm.indices`` replaced, and the
+least-squares variant-B construction that the closed form of ``wcm.copula``
+replaced, and the row-wise sample draw, gather and CSV writer that its
+column-wise path replaced, kept as oracles."""
 
 from __future__ import annotations
 
@@ -138,6 +138,15 @@ def window_pair_rhos_oracle(block: np.ndarray, estimator: str):
             else:
                 raise DomainError(f"unknown estimator {estimator!r}")
     return tuple(pairs), tuple(rhos), tuple(skipped)
+
+
+def six_from_pairs_oracle(pairs, rhos, w) -> tuple[float, tuple]:
+    """SIX and its normalized pair weights as first written: from tuples of
+    pairs ``(i, j)`` and their rhos, with ``w_i w_j`` formed one pair at a time."""
+    terms = np.array([w[i] * w[j] for i, j in pairs])
+    denominator = math.fsum(terms.tolist())
+    value = math.fsum((terms * np.array(rhos)).tolist()) / denominator
+    return value, tuple(zip(pairs, (terms / denominator).tolist()))
 
 
 def covariance_ratio_oracle(w, model, diagonal: bool) -> float:

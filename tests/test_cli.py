@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -252,14 +253,36 @@ class TestSixCommand:
                 day += dt.timedelta(days=1)
         path = tmp_path / "halted.csv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match="dropped constant-column pairs in 4 windows"):
-            code, payload = run_json(capsys, ["six", str(path), "--window", "10", "--step", "5",
-                                              "--json"])
+        argv = ["six", str(path), "--window", "10", "--step", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the counts are fields, not warnings
+            code, payload = run_json(capsys, argv + ["--json"])
+            assert main(argv) == 0
         assert code == 0
         assert (payload["rows_read"], payload["rows_dropped"]) == (62, 2)
         # windows [10, 20), [15, 25), [20, 30) and [25, 35) drop CCC's two pairs
         assert payload["pairs_dropped"] == 8
         assert sum(3 - e["n_pairs"] for e in payload["entries"]) == 8
+        counts = {"rows_read": 62, "rows_dropped": 2, "pairs_dropped": 8, "windows_skipped": 0}
+        csv_manifest = json.loads(capsys.readouterr().err)
+        for manifest in (payload["manifest"], csv_manifest):
+            assert {k: manifest[k] for k in counts} == counts
+
+    def test_weights_of_any_scale(self, capsys, price_csv):
+        argv = ["six", str(price_csv), "--window", "20", "--step", "20",
+                "--index-column", "IDX", "--json", "--weights"]
+
+        def entries(scale):
+            code, payload = run_json(capsys, argv + [repr(scale * w) for w in (1.0, 2.0, 3.0)])
+            assert code == 0
+            return [(e["six"], e["within_bounds"]) for e in payload["entries"]]
+
+        base = entries(1.0)
+        # bit for bit under powers of two; equal to rounding under any other scale
+        assert entries(2.0**-660) == entries(2.0**660) == base
+        for scale in (1e-200, 1e200):
+            assert entries(scale) == [(pytest.approx(v, abs=1e-15), w) for v, w in base]
+        assert main(argv + ["1e-200"] * 3) == 0
 
     def test_missing_file(self, capsys, tmp_path):
         with pytest.raises(OSError):

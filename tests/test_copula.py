@@ -491,6 +491,14 @@ class TestCheckWcm:
             check_wcm(s, (1, 1))
 
 
+@pytest.mark.parametrize("cls", [ComonotonicCopula, IndependenceCopula])
+@pytest.mark.parametrize("d", [-1, 0, 1, 2.5, 3.0, "3", None, True])
+def test_reference_copulas_need_an_integer_dimension_of_at_least_two(cls, d):
+    with pytest.raises(DimensionError):
+        cls(d)
+    assert cls(np.int64(2)).sample(3, seed=1).values.shape == (3, 2)
+
+
 class TestFrechetBounds:
     def test_corner(self):
         assert frechet_bounds((1, 1, 1)) == (1.0, 1.0)

@@ -3,12 +3,17 @@
 import datetime as dt
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcm.copula import make_rng
 from wcm.data import (
+    LoadReport,
     PriceSeries,
     detrend_by_index,
     load_prices,
@@ -16,7 +21,7 @@ from wcm.data import (
     rolling_six,
     rolling_windows,
 )
-from wcm.errors import DimensionError, DomainError
+from wcm.errors import DimensionError, DomainError, WcmError
 from wcm.indices import gaussian_spearman
 
 
@@ -104,6 +109,73 @@ class TestLoadPrices:
         text = "date,A\n2021-01-01,1\n"
         with pytest.raises(DomainError, match="index column"):
             load_prices(self.write(tmp_path, text), index_column="SPX")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,A,B\n2021-01-01,1,2\n2021-01-02,3,4\n")
+        series = load_prices(path)
+        assert (series.tickers, series.n) == (("A", "B"), 2)
+
+    @pytest.mark.parametrize("header", ["date,A,A", "date,A,", "date,A,,B", "date,A, A "])
+    def test_empty_or_repeated_ticker_error(self, tmp_path, header):
+        text = header + "\n2021-01-01,1,2\n"
+        with pytest.raises(DomainError, match="nonempty and distinct"):
+            load_prices(self.write(tmp_path, text), index_column="A")
+
+
+# Cells of a fuzzed price table, each tagged with whether it is a usable price.
+_GOOD_CELLS = st.floats(1e-3, 1e6).map(repr) | st.sampled_from(["1", " 2.5 ", "3e2"])
+_BAD_CELLS = st.sampled_from(["", " ", "abc", "-1", "0", "nan", "inf", "-inf", "1e400", "1e-400"])
+_CELLS = st.one_of(*[_GOOD_CELLS.map(lambda c: (c, True))] * 3,
+                   _BAD_CELLS.map(lambda c: (c, False)))
+
+
+@st.composite
+def price_tables(draw):
+    """A price CSV with BOMs, trailing commas, blank lines, malformed cells and
+    dates, repeated or unsorted dates and repeated tickers, plus the
+    ``LoadReport`` it must give, or None if it must be rejected."""
+    names = draw(st.lists(st.sampled_from(["A", "B", "C", "SPX"]), min_size=1, max_size=4))
+    header = ["date", *names] + [""] * draw(st.booleans())  # a trailing comma
+    valid = "" not in header[1:] and len(set(header[1:])) == len(header[1:])
+    lines, rows, day = [",".join(header)], [], dt.date(2021, 1, 1)
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", ",,", "  "])))  # blank: not read
+            continue
+        day += dt.timedelta(days=draw(st.sampled_from([1, 1, 1, 2, 0, -1])))
+        date_ok = draw(st.integers(0, 19)) > 0
+        date = day.isoformat() if date_ok else draw(st.sampled_from(["2021-13-01", "x"]))
+        cells = draw(st.lists(_CELLS, min_size=len(names) - 1, max_size=len(names) + 1))
+        cells += [("", False)] * draw(st.booleans())  # a trailing comma
+        lines.append(",".join([date, *(c for c, _ in cells)]))
+        rows.append((date, date_ok, len(cells) == len(header) - 1, all(ok for _, ok in cells)))
+    text = "\n".join(lines) + "\n" * draw(st.booleans())
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    dropped = tuple((date, "wrong number of cells" if not arity else
+                     "missing or non-positive price")
+                    for date, _, arity, prices in rows if not (arity and prices))
+    kept = [date for date, _, arity, prices in rows if arity and prices]
+    valid = valid and all(ok for _, ok, _, _ in rows) and kept and all(
+        a < b for a, b in zip(kept, kept[1:]))
+    report = LoadReport(len(rows), len(kept), dropped) if valid else None
+    return bom + text.encode(), report
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_tables())
+def test_load_prices_fuzz(table):
+    content, report = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(content)
+        if report is None:
+            with pytest.raises(WcmError):
+                load_prices(path)
+        else:
+            series = load_prices(path)
+            assert series.load_report == report
+            assert series.n == report.rows_kept
 
 
 class TestDetrend:
@@ -241,10 +313,10 @@ class TestRollingSix:
             dates_from(len(prices)), ("A", "B", "C"), prices,
             market_index=prices[:, 0].copy(),
         )
-        with pytest.warns(UserWarning, match="dropped constant-column pairs"):
-            detrended = rolling_six(detrend_by_index(series), window=50, step=25)
+        detrended = rolling_six(detrend_by_index(series), window=50, step=25)
         assert detrended.entries
         assert all(entry.n_pairs == 1 for entry in detrended.entries)
+        assert detrended.pairs_dropped == 2 * len(detrended.entries)
         # the surviving pair must equal the two-column run, untouched
         sub = PriceSeries(
             dates_from(len(prices)), ("B", "C"),
@@ -256,10 +328,10 @@ class TestRollingSix:
     def test_all_pairs_constant_skips_windows(self):
         series = PriceSeries(dates_from(40), ("A", "B"),
                              np.full((40, 2), 5.0) * np.array([1.0, 2.0]))
-        with pytest.warns(UserWarning, match="skipped"):
-            rolling = rolling_six(series, window=10, step=10)
+        rolling = rolling_six(series, window=10, step=10)
         assert not rolling.entries
         assert len(rolling.skipped) == 3
+        assert rolling.pairs_dropped == 3
 
     def test_bound_flagging(self):
         series = series_from_returns(gaussian_returns(60, np.eye(2), seed=28))

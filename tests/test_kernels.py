@@ -1,8 +1,10 @@
 """The matrix kernels of ``wcm.indices`` against the per-pair loops they
 replaced (kept in ``helpers`` as oracles): mid-ranks, one Gram product per
-rolling window, the arcsine map on arrays, and the lognormal HIX/RHIX."""
+rolling window, the SIX average of a rho matrix, the arcsine map on arrays,
+and the lognormal HIX/RHIX."""
 
 import datetime as dt
+import math
 import warnings
 
 import numpy as np
@@ -11,16 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from helpers import covariance_ratio_oracle, gaussian_spearman_oracle, window_pair_rhos_oracle
-from wcm.data import PriceSeries, _window_pair_rhos, rolling_six
-from wcm.errors import DomainError
+from helpers import (
+    covariance_ratio_oracle,
+    gaussian_spearman_oracle,
+    six_from_pairs_oracle,
+    window_pair_rhos_oracle,
+)
+from wcm.data import PriceSeries, _window_pair_rhos, log_returns, rolling_six
+from wcm.errors import DegenerateDataError, DomainError
 from wcm.indices import (
     LognormalModel,
+    SpearmanMatrix,
     correlation_matrix,
     gaussian_spearman,
     hix_lognormal,
     midranks,
     rhix_lognormal,
+    six,
+    six_bounds,
+    six_from_matrix,
+    six_lognormal,
     spearman_matrix,
 )
 
@@ -49,12 +61,17 @@ def blocks(draw, max_n=120, max_d=35):
     return block
 
 
+def upper_pairs(rho):
+    """The pairs ``i < j`` of a rho matrix in row-major order, and their rhos."""
+    rows, cols = np.triu_indices(len(rho), 1)
+    return list(zip(rows.tolist(), cols.tolist())), rho[rows, cols].tolist()
+
+
 def as_pairs(block, estimator):
-    rhos, keep = _window_pair_rhos(block, estimator)
-    rows, cols = np.triu_indices(block.shape[1], 1)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    return (tuple(p for p, k in zip(pairs, keep) if k), tuple(rhos[keep].tolist()),
-            tuple(p for p, k in zip(pairs, keep) if not k))
+    pairs, rhos = upper_pairs(_window_pair_rhos(block, estimator))
+    return (tuple(p for p, r in zip(pairs, rhos) if not math.isnan(r)),
+            tuple(r for r in rhos if not math.isnan(r)),
+            tuple(p for p, r in zip(pairs, rhos) if math.isnan(r)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -85,8 +102,7 @@ def test_midranks_match_rankdata(block, one_column):
 def test_equal_and_reversed_rank_columns_are_exact():
     x = np.random.default_rng(1).standard_normal(500)
     block = np.column_stack((x, np.exp(x), -x, x**3))
-    rho, varying = correlation_matrix(block)
-    assert varying.all()
+    rho = correlation_matrix(block)
     assert (rho == np.array([[1, 1, -1, 1], [1, 1, -1, 1],
                              [-1, -1, 1, -1], [1, 1, -1, 1]])).all()
 
@@ -96,24 +112,100 @@ def test_constant_columns_are_masked_without_runtime_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for ranks in (True, False):
-            rho, varying = correlation_matrix(block, ranks=ranks)
-            assert varying.tolist() == [True, False, True]
-            assert np.isnan(rho[1]).all() and np.isnan(rho[:, 1]).all()
+            rho = correlation_matrix(block, ranks=ranks)
+            assert np.isnan(rho).tolist() == [[False, True, False], [True] * 3,
+                                              [False, True, False]]
             assert rho[0, 2] == 1.0 or not ranks
 
 
-def test_rolling_six_with_a_halted_ticker_warns_only_about_dropped_pairs():
+def series_from(returns):
+    prices = 100.0 * np.exp(np.vstack([np.zeros(returns.shape[1]), np.cumsum(returns, axis=0)]))
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(len(prices)))
+    return PriceSeries(dates, tuple(f"T{k}" for k in range(returns.shape[1])), prices)
+
+
+def test_rolling_six_with_a_halted_ticker_counts_dropped_pairs_without_warning():
     x = 0.01 * np.random.default_rng(2).standard_normal((60, 3))
     x[:, 1] = 0.0
-    prices = 100.0 * np.exp(np.vstack([np.zeros(3), np.cumsum(x, axis=0)]))
-    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(61))
-    series = PriceSeries(dates, ("A", "B", "C"), prices)
+    series = series_from(x)
     for estimator in ("rank", "lognormal"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rolling = rolling_six(series, window=20, step=10, estimator=estimator)
-        assert [str(c.message) for c in caught] == ["dropped constant-column pairs in 5 windows"]
+        assert caught == []
         assert all(e.n_pairs == 1 for e in rolling.entries)
+        assert (len(rolling.entries), rolling.pairs_dropped, rolling.skipped) == (5, 10, ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(max_n=60, max_d=8), st.integers(0, 2**32 - 1), st.integers(5, 20))
+def test_rolling_rank_six_matches_per_pair_path_bit_for_bit(block, seed, window):
+    w = np.random.default_rng(seed).uniform(0.1, 10.0, block.shape[1]).tolist()
+    series = series_from(block)
+    returns = log_returns(series)
+    window = min(window, len(returns))
+    rolling = rolling_six(series, w, window=window, step=3)
+    want, dropped = [], 0
+    for start in range(0, len(returns) - window + 1, 3):
+        pairs, rhos, skipped = window_pair_rhos_oracle(returns[start:start + window], "rank")
+        dropped += len(skipped)
+        if pairs:
+            want.append((six_from_pairs_oracle(pairs, rhos, w)[0], len(pairs)))
+    assert [(e.six, e.n_pairs) for e in rolling.entries] == want
+    assert rolling.pairs_dropped == dropped
+
+
+@st.composite
+def rho_matrices(draw):
+    """A symmetric rho matrix with exact 0 and +/-1 entries, and weights."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.choice([-1.0, 0.0, 1.0, *rng.uniform(-1.0, 1.0, 8)], size=(d, d))
+    rho = np.triu(rho, 1) + np.triu(rho, 1).T + np.eye(d)
+    w = draw(st.lists(st.sampled_from([1.0, 2.0]) | st.floats(0.01, 100.0),
+                      min_size=d, max_size=d))
+    return rho, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho_matrices())
+def test_six_from_matrix_matches_the_pairs_tuple_average(case):
+    rho, w = case
+    report = six_from_matrix(SpearmanMatrix(rho, "test"), w)
+    assert (report.six, report.pair_weights) == six_from_pairs_oracle(*upper_pairs(rho), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_six_lognormal_matches_the_pairs_tuple_average(d, seed):
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((d, d + 1))
+    model = LognormalModel(tuple(rng.standard_normal(d)), factor @ factor.T)
+    w = rng.uniform(0.1, 5.0, size=d).tolist()
+    # the arcsine map on the upper triangle, as first written
+    pairs, rhos = upper_pairs(gaussian_spearman(np.triu(model.correlations, 1)))
+    assert six_lognormal(w, model) == six_from_pairs_oracle(pairs, rhos, w)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=8), st.integers(-600, 600),
+       st.integers(0, 2**32 - 1))
+def test_six_and_its_bounds_do_not_depend_on_a_power_of_two_scale(w, k, seed):
+    data = np.random.default_rng(seed).standard_normal((30, len(w)))
+    scaled = [math.ldexp(v, k) for v in w]
+    fields = ("six", "lower_bound", "upper_bound", "pair_weights", "within_bounds")
+    base, other = six(data, w), six(data, scaled)
+    assert [getattr(other, f) for f in fields] == [getattr(base, f) for f in fields]
+    assert six_bounds(scaled) == six_bounds(w)
+
+
+def test_six_from_matrix_leaves_out_nan_pairs():
+    rho = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, np.nan], [np.nan, np.nan, 1.0]])
+    report = six_from_matrix(SpearmanMatrix(rho, "test"), (1, 2, 3))
+    assert (report.six, report.pair_weights) == (0.5, (((0, 1), 1.0),))
+    rho[0, 1] = np.nan
+    with pytest.raises(DegenerateDataError):
+        six_from_matrix(SpearmanMatrix(rho, "test"), (1, 2, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,8 +234,8 @@ def test_non_finite_data_is_rejected_before_ranking():
 def test_spearman_matrix_lookup_is_symmetric():
     x = np.random.default_rng(3).standard_normal((40, 6))
     sm = spearman_matrix(x)
-    for k, (i, j) in enumerate(sm.pairs):
-        assert sm.rho(i, j) == sm.rho(j, i) == sm.rhos[k]
+    for i, j in upper_pairs(sm.matrix)[0]:
+        assert sm.rho(i, j) == sm.rho(j, i) == sm.matrix[i, j]
     assert sm.rho(4, 4) == 1.0
 
 
