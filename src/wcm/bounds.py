@@ -9,7 +9,6 @@ others and samples the shrunken-weight copula; the sum then equals
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,9 +83,6 @@ class VarianceBoundReport:
             }
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def optimal_coupling(w: "WeightVector | Iterable[float]"):
     """The copula minimizing ``Var(sum(w_i U_i))`` and the variance it attains.
@@ -158,6 +154,8 @@ def mc_variance(
     """
     if n < 2:
         raise DimensionError(f"variance needs n >= 2, got {n}")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     wv = as_weight_vector(w)
     weights = np.array(wv.values)
     sizes = [MC_BATCH] * (n // MC_BATCH)

@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
-import os
 import secrets
 import sys
 
@@ -270,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weights_argument(p)
     p.add_argument("--mc", type=int, help="Monte Carlo sample size")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=int(os.environ.get("WCM_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_bounds)

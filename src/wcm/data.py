@@ -303,6 +303,8 @@ def rolling_six(
     sharp bounds get ``within_bounds=False`` (sampling noise, flagged not
     fatal).
     """
+    if p.d < 2:
+        raise DimensionError(f"SIX needs at least 2 tickers, the series has {p.d}")
     wv = as_weight_vector(w if w is not None else (1.0,) * p.d)
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")

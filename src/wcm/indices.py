@@ -15,14 +15,13 @@ closed forms are provided as a contrast.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .copula import SampleMatrix, make_rng, sample_values
+from .copula import SampleMatrix, sample_values
 from .errors import DegenerateDataError, DimensionError, DomainError, ModelError
 from .weights import WeightVector, as_weight_vector, variance_lower_bound
 
@@ -46,7 +45,6 @@ __all__ = [
     "rhix_lognormal",
     "hix_lognormal",
     "rhix_degeneracy_curve",
-    "gaussian_copula_sample",
 ]
 
 
@@ -200,13 +198,6 @@ class SixReport:
             "within_bounds": self.within_bounds,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        w = " ".join(repr(v) for v in self.weights)
-        return f"{w},{self.six!r},{self.lower_bound!r},{self.upper_bound!r},{self.estimator},{self.n}"
-
 
 def _unit_scaled(w: "WeightVector | Iterable[float]") -> WeightVector:
     """``w`` times the power of two that puts its largest entry in [1/2, 1):
@@ -354,8 +345,10 @@ def _covariance_ratio(
 ) -> float:
     """``sum w_i w_j Cov[X_i, X_j] / sum w_i w_j Cov^c[X_i, X_j]`` over the
     lognormal prices, where ``Cov^c`` keeps the marginals and sets every copula
-    correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``."""
-    wv = as_weight_vector(w)
+    correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``.
+    The weights are scaled as in ``_unit_scaled``, which leaves the ratio as it
+    is but keeps ``w_i w_j`` from underflowing or overflowing."""
+    wv = _unit_scaled(w)
     if wv.d != model.d:
         raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
     mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas
@@ -414,17 +407,3 @@ def rhix_degeneracy_curve(
                     f"curve not strictly decreasing at sigma={s1} ({v0} -> {v1})"
                 )
     return curve
-
-
-def gaussian_copula_sample(corr: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` observations from the Gaussian copula with the given
-    correlation matrix (strictly positive definite)."""
-    # Imported here: it dominates the package's import time and no CLI command needs it.
-    from scipy.special import ndtr
-    corr = np.asarray(corr, dtype=float)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise DimensionError(f"need a square correlation matrix, got shape {corr.shape}")
-    chol = np.linalg.cholesky(corr)
-    rng = make_rng(seed)
-    z = rng.standard_normal((n, corr.shape[0]))
-    return ndtr(z @ chol.T)

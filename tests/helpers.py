@@ -1,9 +1,9 @@
-"""Shared test utilities: uniformity statistics, reference samplers, the
-brute-force rank-correlation oracle, the per-pair loops and the pairs-tuple
-SIX average that the matrix kernels of ``wcm.indices`` replaced, and the
-least-squares variant-B construction that the closed form of ``wcm.copula``
-replaced, and the row-wise sample draw, gather and CSV writer that its
-column-wise path replaced, kept as oracles."""
+"""Shared test utilities: uniformity statistics, reference samplers (the
+Gaussian copula among them), the brute-force rank-correlation oracle, the
+per-pair loops and the pairs-tuple SIX average that the matrix kernels of
+``wcm.indices`` replaced, and the least-squares variant-B construction that
+the closed form of ``wcm.copula`` replaced, and the row-wise sample draw,
+gather and CSV writer that its column-wise path replaced, kept as oracles."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from wcm.copula import SampleMatrix, make_rng
@@ -49,6 +50,14 @@ class MixtureSampler:
         xb = self.b.sample(n, seed_b).values
         values = np.where(pick_b[:, None], xb, xa)
         return SampleMatrix(values, seed=seed, meta={"construction": "mixture"})
+
+
+def gaussian_copula_sample(corr: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` observations from the Gaussian copula with the given
+    correlation matrix (strictly positive definite)."""
+    chol = np.linalg.cholesky(np.asarray(corr, dtype=float))
+    z = make_rng(seed).standard_normal((n, chol.shape[0]))
+    return ndtr(z @ chol.T)
 
 
 @dataclass(frozen=True)

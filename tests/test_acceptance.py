@@ -6,12 +6,11 @@ import time
 
 import numpy as np
 
-from helpers import ks_critical_1pct, ks_uniform_statistic, spearman_oracle
+from helpers import gaussian_copula_sample, ks_critical_1pct, ks_uniform_statistic, spearman_oracle
 from wcm.bounds import mc_variance, optimal_coupling
 from wcm.copula import ComonotonicCopula, build_grouped_wcm, build_triangle, check_wcm
 from wcm.indices import (
     LognormalModel,
-    gaussian_copula_sample,
     gaussian_spearman,
     rhix_degeneracy_curve,
     six,

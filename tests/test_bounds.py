@@ -87,6 +87,11 @@ class TestMcVariance:
         with pytest.raises(DimensionError):
             mc_variance(IndependenceCopula(2), (1, 1), 1, seed=1)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_needs_a_thread(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            mc_variance(IndependenceCopula(2), (1, 1), 10, seed=1, threads=threads)
+
     @pytest.mark.parametrize("w", [(5, 1, 1), (4, 1, 1), (7, 2, 2), (2, 1), (1, 1, 1)])
     def test_coupling_within_five_se_of_bound(self, w):
         coupling, _ = optimal_coupling(w)
@@ -176,7 +181,7 @@ class TestReport:
         assert report.upper == pytest.approx(49.0 / 12.0, abs=1e-12)
         assert 0.0 <= report.lower <= report.upper
         assert abs(report.mc.estimate - report.lower) < 5 * report.mc.stderr
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["weights"] == [5.0, 1.0, 1.0]
         assert payload["mc"]["n"] == 10**5
         assert payload["mc"]["seed"] == 80

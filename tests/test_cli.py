@@ -43,6 +43,12 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidWeightError"
 
+    def test_threads_variable_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("WCM_THREADS", "abc")
+        code, payload = run_json(capsys, ["validate", "5", "4", "3"])
+        assert code == 0
+        assert payload["exists"] is True
+
 
 class TestConstruct:
     def test_543_masses(self, capsys):
@@ -198,6 +204,14 @@ class TestBounds:
         del serial["manifest"], threaded["manifest"]  # argv differs, results must not
         assert serial == threaded
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_exits_one(self, capsys, threads):
+        argv = ["bounds", "5", "1", "1", "--mc", "1000", "--seed", "1", "--threads", threads]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "threads" in err["message"]
+
 
 class TestSixCommand:
     @pytest.fixture()
@@ -284,6 +298,19 @@ class TestSixCommand:
             assert entries(scale) == [(pytest.approx(v, abs=1e-15), w) for v, w in base]
         assert main(argv + ["1e-200"] * 3) == 0
 
+    @pytest.mark.parametrize("header, extra", [
+        ("date,AAA", []),
+        ("date,AAA,IDX", ["--index-column", "IDX"]),
+    ])
+    def test_one_ticker_is_a_dimension_error(self, capsys, tmp_path, header, extra):
+        path = tmp_path / "one.csv"
+        rows = [f"2022-01-0{k},{100 + k}" + (f",{50 - k}" if extra else "") for k in range(1, 6)]
+        path.write_text("\n".join([header] + rows) + "\n")
+        assert main(["six", str(path), "--window", "2"] + extra) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DimensionError"
+        assert "has 1" in err["message"]
+
     def test_missing_file(self, capsys, tmp_path):
         with pytest.raises(OSError):
             main(["six", str(tmp_path / "nope.csv")])
@@ -328,12 +355,14 @@ def test_console_script_runs():
 
 
 def test_import_does_not_load_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, wcm.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    # ``wcm`` imports every module of the package, so no module may import scipy
+    for module in ("wcm.cli", "wcm"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]", module

@@ -274,6 +274,12 @@ class TestRollingSix:
         with pytest.raises(DimensionError):
             rolling_six(series, (1, 1, 1), window=10)
 
+    def test_one_ticker_is_a_dimension_error(self):
+        series = series_from_returns(gaussian_returns(20, np.eye(1), seed=26))
+        for w in (None, (1.0,)):
+            with pytest.raises(DimensionError, match="series has 1"):
+                rolling_six(series, w, window=5)
+
     def test_power_scale_price_transforms_leave_rank_six_identical(self):
         """Per-column maps c * x**a act affinely on log returns, so window
         ranks (hence rank-SIX) cannot move."""

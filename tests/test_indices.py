@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import MixtureSampler, spearman_oracle
+from helpers import MixtureSampler, gaussian_copula_sample, spearman_oracle
 from wcm.bounds import optimal_coupling
 from wcm.copula import ComonotonicCopula, IndependenceCopula, build_grouped_wcm, build_triangle
 from wcm.errors import DegenerateDataError, DimensionError, DomainError, ModelError
 from wcm.indices import (
     LognormalModel,
-    gaussian_copula_sample,
     gaussian_spearman,
     hix_lognormal,
     rhix_degeneracy_curve,
@@ -141,16 +140,11 @@ class TestSix:
         import json
 
         report = six(IndependenceCopula(3).sample(100, seed=9), (5, 4, 3))
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["weights"] == [5.0, 4.0, 3.0]
         assert payload["estimator"] == "rank-sample"
         assert payload["n"] == 100
         assert set(payload["pair_weights"]) == {"0,1", "0,2", "1,2"}
-        row = report.to_csv_row()
-        cells = row.split(",")
-        assert cells[0] == "5.0 4.0 3.0"
-        assert float(cells[1]) == report.six
-        assert cells[4] == "rank-sample"
 
 
 class TestSixBounds:
@@ -297,6 +291,13 @@ class TestHix:
             model = LognormalModel.bivariate(rho, s1, s2, mu=tuple(rng.standard_normal(2)))
             value = hix_lognormal((1, 2), model)
             assert 0.0 < value <= 1.0
+
+    def test_tiny_and_huge_weights(self):
+        model = LognormalModel.bivariate(0.5, 0.3, 0.4)
+        for index in (hix_lognormal, rhix_lognormal):
+            base = index((1, 2), model)
+            for scale in (1e-200, 1e200):
+                assert index((scale, 2 * scale), model) == pytest.approx(base, rel=1e-14)
 
 
 class TestDegeneracyCurve:

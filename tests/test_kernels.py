@@ -249,3 +249,15 @@ def test_lognormal_hix_and_rhix_match_per_pair_loops(d, seed):
     for index, diagonal in ((hix_lognormal, True), (rhix_lognormal, False)):
         want = covariance_ratio_oracle(w, model, diagonal)
         assert index(w, model) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=6), st.integers(-900, 900),
+       st.integers(0, 2**32 - 1))
+def test_lognormal_hix_and_rhix_do_not_depend_on_a_power_of_two_scale(w, k, seed):
+    rng = np.random.default_rng(seed)
+    factor = rng.standard_normal((len(w), len(w) + 1)) * rng.uniform(0.1, 1.5)
+    model = LognormalModel(tuple(rng.standard_normal(len(w))), factor @ factor.T)
+    scaled = [math.ldexp(v, k) for v in w]
+    for index in (hix_lognormal, rhix_lognormal):
+        assert index(scaled, model).hex() == index(w, model).hex()
