@@ -146,7 +146,7 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    seed = _resolve_seed(args) if args.mc else None
+    seed = _resolve_seed(args) if args.mc is not None else None
     report = variance_bound_report(
         args.weights, mc_n=args.mc, seed=seed, threads=args.threads
     )

@@ -70,14 +70,21 @@ _EDGE_LABELS = ("m12", "m23", "m31")
 _CSV_BLOCK = 1 << 14  # rows per block of CSV text: bounds the strings held at once
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """``SeedSequence(seed)``; a negative seed is a :class:`DomainError`."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """The package-wide generator: PCG64 seeded via ``SeedSequence(seed)``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed)))
 
 
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Independent child generators for parallel batches (stream-splitting rule)."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
+    return [np.random.Generator(np.random.PCG64(s)) for s in _seed_sequence(seed).spawn(n)]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ __all__ = [
     "SixReport",
     "LognormalModel",
     "midranks",
+    "centred_correlation",
     "correlation_matrix",
     "spearman_rho",
     "spearman_matrix",
@@ -72,29 +73,41 @@ def midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def centred_correlation(a: np.ndarray, varying: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise correlations of the columns of a centred ``(n, d)`` array from
+    one Gram product: ``G = a.T @ a`` and ``rho_ij = G_ij / sqrt(G_ii G_jj)``
+    clipped to [-1, 1].  The rows and columns of the columns that do not vary
+    are NaN; by default those are the columns with ``G_ii == 0``, which is
+    exact for centred ranks.  The row order of ``a`` does not matter."""
+    gram = a.T @ a
+    diag = np.diag(gram)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
+    if varying is None:
+        varying = diag > 0.0
+    rho[~np.outer(varying, varying)] = np.nan
+    return rho
+
+
 def correlation_matrix(x: np.ndarray, ranks: bool = True) -> np.ndarray:
-    """Pairwise correlations of the columns of an ``(n, d)`` array from one
-    Gram product of the centred columns: ``G = A.T @ A`` and ``rho_ij =
-    G_ij / sqrt(G_ii G_jj)`` clipped to [-1, 1].  The rows and columns of
-    constant columns are NaN.
+    """Pairwise correlations of the columns of an ``(n, d)`` array by
+    ``centred_correlation``.  The rows and columns of constant columns are NaN.
 
     ``ranks``: Spearman's rho, on mid-ranks centred on ``(n + 1) / 2``.  These
     are multiples of 1/2, so for ``n`` below about 2e5 the product is exact in
     any summation order and equal or reversed rank columns give exactly +/-1.
     Otherwise Pearson's correlation of ``x``, where values within ``n * eps``
-    of +/-1, finer than the Gram's rounding, are set to +/-1.
+    of +/-1, finer than the Gram's rounding, are set to +/-1.  A centred
+    constant column need not be exactly zero, so here the constant columns
+    are found from ``x`` itself.
     """
     x = np.asarray(x, dtype=float)
-    varying = np.ptp(x, axis=0) > 0.0
-    a = midranks(x) - 0.5 * (x.shape[0] + 1) if ranks else x - x.mean(axis=0)
-    gram = a.T @ a
-    diag = np.diag(gram)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
-    rho[~np.outer(varying, varying)] = np.nan
-    if not ranks:  # below the Gram's rounding: exactly linear columns give +/-1
-        linear = np.abs(rho) >= 1.0 - x.shape[0] * np.finfo(float).eps
-        rho[linear] = np.sign(rho[linear])
+    if ranks:
+        return centred_correlation(midranks(x) - 0.5 * (x.shape[0] + 1))
+    rho = centred_correlation(x - x.mean(axis=0), np.ptp(x, axis=0) > 0.0)
+    # below the Gram's rounding: exactly linear columns give +/-1
+    linear = np.abs(rho) >= 1.0 - x.shape[0] * np.finfo(float).eps
+    rho[linear] = np.sign(rho[linear])
     return rho
 
 

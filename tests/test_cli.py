@@ -143,6 +143,14 @@ class TestSample:
         assert main(["sample", "1", "1", "1", "1", "--n", "10", "--seed", "1",
                      "--variant", "B"]) == 1
 
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["sample", "5", "4", "3", "--n", "3", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert "seed" in err["message"]
+
 
 class TestGoldenOutputs:
     """Outputs recorded from the row-wise sample path that the column-wise one
@@ -211,6 +219,19 @@ class TestBounds:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DomainError"
         assert "threads" in err["message"]
+
+    def test_negative_seed_exits_one(self, capsys):
+        assert main(["bounds", "5", "1", "1", "--mc", "3", "--seed", "-1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert "seed" in err["message"]
+
+    @pytest.mark.parametrize("mc", ["0", "-5"])
+    def test_too_few_draws_with_a_seed_names_the_sample_size(self, capsys, mc):
+        assert main(["bounds", "5", "1", "1", "--mc", mc, "--seed", "1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DimensionError"
+        assert "n >= 2" in err["message"]
 
 
 class TestSixCommand:
@@ -310,6 +331,20 @@ class TestSixCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DimensionError"
         assert "has 1" in err["message"]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--window", "1", "two rows"),
+        ("--window", "0", ">= 1"),
+        ("--step", "0", ">= 1"),
+    ])
+    def test_window_below_two_rows_or_zero_step_exits_one(self, capsys, price_csv,
+                                                          option, value, message):
+        assert main(["six", str(price_csv), "--json", option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert message in err["message"]
 
     def test_missing_file(self, capsys, tmp_path):
         with pytest.raises(OSError):

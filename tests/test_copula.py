@@ -31,6 +31,7 @@ from wcm.copula import (
     edge_masses,
     frechet_bounds,
     make_rng,
+    spawn_rngs,
     triangle_params,
 )
 from wcm.errors import (
@@ -323,6 +324,12 @@ class TestSampling:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             build_triangle((1, 1, 1), "A").sample(0, seed=1)
+
+    def test_negative_seed_is_a_domain_error(self):
+        for draw in (lambda: make_rng(-1), lambda: spawn_rngs(-1, 2),
+                     lambda: build_triangle((5, 4, 3), "A").sample(3, seed=-1)):
+            with pytest.raises(DomainError, match="seed"):
+                draw()
 
     @pytest.mark.parametrize("w", [(1, 1, 1, 1), (3, 3, 2, 2), (5, 4, 3), (6, 5, 4, 3, 3, 2, 2)])
     def test_grouped_gather_matches_column_copy(self, w):

@@ -1,7 +1,8 @@
 """The matrix kernels of ``wcm.indices`` against the per-pair loops they
 replaced (kept in ``helpers`` as oracles): mid-ranks, one Gram product per
-rolling window, the SIX average of a rho matrix, the arcsine map on arrays,
-and the lognormal HIX/RHIX."""
+rolling window, the rolling ranks that slide from window to window, the SIX
+average of a rho matrix, the arcsine map on arrays, and the lognormal
+HIX/RHIX."""
 
 import datetime as dt
 import math
@@ -19,7 +20,9 @@ from helpers import (
     six_from_pairs_oracle,
     window_pair_rhos_oracle,
 )
-from wcm.data import PriceSeries, _window_pair_rhos, log_returns, rolling_six
+import wcm.data
+from wcm.data import (SLIDE_ROWS, PriceSeries, _rolling_ranks, _window_pair_rhos, log_returns,
+                      rolling_six, rolling_windows)
 from wcm.errors import DegenerateDataError, DomainError
 from wcm.indices import (
     LognormalModel,
@@ -28,12 +31,14 @@ from wcm.indices import (
     gaussian_spearman,
     hix_lognormal,
     midranks,
+    pair_weight_matrix,
     rhix_lognormal,
     six,
     six_bounds,
     six_from_matrix,
     six_lognormal,
     spearman_matrix,
+    weighted_six,
 )
 
 
@@ -153,6 +158,83 @@ def test_rolling_rank_six_matches_per_pair_path_bit_for_bit(block, seed, window)
             want.append((six_from_pairs_oracle(pairs, rhos, w)[0], len(pairs)))
     assert [(e.six, e.n_pairs) for e in rolling.entries] == want
     assert rolling.pairs_dropped == dropped
+
+
+@st.composite
+def rolling_cases(draw):
+    """A price panel whose returns tie (prices on a few levels), with tickers
+    halted and stretches where every ticker halts, a window of 2 rows up to
+    all of them, a step below, at and above the sliding crossover or as long
+    as the window, and weights."""
+    n = draw(st.integers(3, 50))
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([0, 2, 3, 5]))  # 0: continuous, else tied levels
+    if levels:
+        prices = 100.0 + rng.integers(0, levels, size=(n, d)).astype(float)
+    else:
+        prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((n, d)), axis=0))
+    halts = st.tuples(st.integers(-1, d - 1), st.integers(0, n - 1), st.integers(2, n))
+    for col, start, length in draw(st.lists(halts, max_size=3)):
+        cols = slice(None) if col < 0 else col  # -1: every ticker halts
+        prices[start:start + length, cols] = prices[start, cols]
+    window = draw(st.integers(2, n - 1))
+    step = draw(st.sampled_from([1, 2, SLIDE_ROWS, SLIDE_ROWS + 1, window,
+                                 window + draw(st.integers(1, 5))]))
+    w = rng.uniform(0.1, 10.0, d).tolist()
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(n))
+    return PriceSeries(dates, tuple(f"T{k}" for k in range(d)), prices), window, step, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(rolling_cases())
+def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
+    series, window, step, w = case
+    rolling = rolling_six(series, w, window=window, step=step)
+    returns = log_returns(series)
+    pair_w, bounds = pair_weight_matrix(w), six_bounds(w)
+    by_matrix, by_pair, skipped, dropped = [], [], [], 0
+    windows = rolling_windows(len(returns), window, step)
+    for (start, stop), centred in zip(windows, _rolling_ranks(returns, windows)):
+        block = returns[start:stop]
+        # the slid ranks are midranks' bits (signed zeros too) in ring order
+        want = midranks(block) - 0.5 * (window + 1)
+        assert np.sort(centred, axis=0).tobytes() == np.sort(want, axis=0).tobytes()
+        rho = correlation_matrix(block)
+        assert _window_pair_rhos(block, "rank", centred).tobytes() == rho.tobytes()
+        value, _, used = weighted_six(rho, pair_w, bounds)
+        pairs, rhos, left_out = window_pair_rhos_oracle(block, "rank")
+        assert np.count_nonzero(used) == len(pairs)
+        dropped += len(left_out)
+        if pairs:
+            by_matrix.append((value.hex(), len(pairs)))
+            by_pair.append((six_from_pairs_oracle(pairs, rhos, w)[0].hex(), len(pairs)))
+        else:
+            skipped.append(series.dates[stop])
+    assert [(e.six.hex(), e.n_pairs) for e in rolling.entries] == by_matrix == by_pair
+    assert [date for date, _ in rolling.skipped] == skipped
+    assert rolling.pairs_dropped == dropped
+
+
+@pytest.mark.parametrize("estimator", ["rank", "lognormal"])
+@pytest.mark.parametrize("step", [1, 3, SLIDE_ROWS + 1, 30])
+def test_rolling_six_calls_the_window_kernel_once_per_window(monkeypatch, estimator, step):
+    # bench/worker.py times this call as the "indices.spearman_matrix" stage
+    calls = []
+    kernel = wcm.data._window_pair_rhos
+
+    def counted(block, *rest):
+        calls.append(len(block))
+        return kernel(block, *rest)
+
+    monkeypatch.setattr(wcm.data, "_window_pair_rhos", counted)
+    x = 0.01 * np.random.default_rng(3).standard_normal((120, 4))
+    x[40:90] = 0.0  # every ticker halts: windows inside are skipped
+    rolling = rolling_six(series_from(x), window=20, step=step, estimator=estimator)
+    windows = rolling_windows(len(x), 20, step)
+    assert calls == [20] * len(windows)
+    assert len(rolling.entries) + len(rolling.skipped) == len(windows)
+    assert rolling.skipped
 
 
 @st.composite
