@@ -118,8 +118,6 @@ def _combine(a, b):
     na, ma, m2a, m3a, m4a = a
     nb, mb, m2b, m3b, m4b = b
     n = na + nb
-    if n == 0:
-        return a
     delta = mb - ma
     mean = ma + delta * nb / n
     m2 = m2a + m2b + delta**2 * na * nb / n
@@ -166,11 +164,8 @@ def mc_variance(
     def one(i: int):
         return _batch_moments(_draw_dots(sampler, weights, sizes[i], rngs[i]))
 
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    else:
-        parts = [one(i) for i in range(len(sizes))]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(one, range(len(sizes))))
     acc = parts[0]
     for part in parts[1:]:
         acc = _combine(acc, part)

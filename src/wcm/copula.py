@@ -33,7 +33,6 @@ from .errors import (
 )
 from .weights import (
     CONSTRUCTION_TOL,
-    GroupPartition,
     WeightVector,
     as_weight_vector,
     existence_deficit,
@@ -274,8 +273,6 @@ class TriangleCopula:
         point = _require_unit_cube(u, 3)
         total = 0.0
         for (i, j), mass in zip(_EDGES, self.masses):
-            if mass == 0.0:
-                continue
             total += mass * _edge_interval_length(self.vertices[i], self.vertices[j], point)
         return min(1.0, total)
 
@@ -400,15 +397,18 @@ class CountermonotonicPair:
 @dataclass(frozen=True)
 class GroupedWCMCopula:
     """General-dimension construction: comonotonic within three groups whose
-    aggregate weights are coupled through an inner triangle copula."""
+    aggregate weights, ``inner.weights``, are coupled through an inner
+    triangle copula."""
 
     weights: tuple[float, ...]
-    partition: GroupPartition
+    groups: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     inner: TriangleCopula
 
     def __post_init__(self) -> None:
-        if self.partition.indices != tuple(range(self.d)):
-            raise DimensionError(f"groups {self.partition.groups} do not cover {self.d} weights")
+        if (len(self.groups) != 3 or not all(self.groups)
+                or sorted(i for g in self.groups for i in g) != list(range(self.d))):
+            raise DimensionError(
+                f"groups {self.groups} do not split {self.d} weights into three nonempty groups")
 
     @property
     def d(self) -> int:
@@ -418,13 +418,13 @@ class GroupedWCMCopula:
         """Exact CDF: coordinates within a group are equal, so only each
         group's smallest coordinate binds, ``C_tri(min_A u, min_B u, min_C u)``."""
         point = _require_unit_cube(u, self.d)
-        return self.inner.cdf(tuple(min(point[i] for i in g) for g in self.partition.groups))
+        return self.inner.cdf(tuple(min(point[i] for i in g) for g in self.groups))
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        col_of = {i: col for col, group in enumerate(self.partition.groups) for i in group}
+        col_of = {i: col for col, group in enumerate(self.groups) for i in group}
         meta = {"weights": list(self.weights), "construction": "grouped",
-                "groups": [list(group) for group in self.partition.groups],
-                "aggregates": list(self.partition.aggregates)}
+                "groups": [list(group) for group in self.groups],
+                "aggregates": list(self.inner.weights)}
         # C order (column_stack): the bits of a downstream ``values @ w`` depend on it
         def draw(rng: np.random.Generator, n: int) -> np.ndarray:
             cols = self.inner._columns(rng, n)
@@ -451,9 +451,9 @@ def build_grouped_wcm(
         )
     if wv.d == 2:
         return CountermonotonicPair(wv.values)  # type: ignore[arg-type]
-    partition = partition_weights(wv)
-    inner = build_triangle(partition.aggregates, variant="A")
-    return GroupedWCMCopula(wv.values, partition, inner)
+    groups = partition_weights(wv)
+    inner = build_triangle([math.fsum(wv.values[i] for i in g) for g in groups], variant="A")
+    return GroupedWCMCopula(wv.values, groups, inner)
 
 
 def _require_dimension(d: int) -> None:
@@ -501,9 +501,8 @@ class IndependenceCopula:
 def check_wcm(
     samples: "SampleMatrix | np.ndarray",
     w: "WeightVector | Iterable[float]",
-    tol: float = SUPPORT_TOL,
 ) -> tuple[bool, float]:
-    """Verify the support constraint ``|w . u - sum(w)/2| <= tol`` row by row.
+    """Verify the support constraint ``|w . u - sum(w)/2| <= SUPPORT_TOL`` row by row.
 
     Returns ``(ok, max_deviation)``.
     """
@@ -511,7 +510,7 @@ def check_wcm(
     values = sample_values(samples, wv.d)
     dots = values @ np.array(wv.values)
     max_dev = float(np.max(np.abs(dots - 0.5 * wv.s1))) if len(dots) else 0.0
-    return max_dev <= tol, max_dev
+    return max_dev <= SUPPORT_TOL, max_dev
 
 
 def frechet_bounds(u: Sequence[float]) -> tuple[float, float]:

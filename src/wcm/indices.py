@@ -26,7 +26,6 @@ from .errors import DegenerateDataError, DimensionError, DomainError, ModelError
 from .weights import WeightVector, as_weight_vector, variance_lower_bound
 
 __all__ = [
-    "SpearmanMatrix",
     "SixReport",
     "LognormalModel",
     "midranks",
@@ -34,7 +33,6 @@ __all__ = [
     "correlation_matrix",
     "spearman_rho",
     "spearman_matrix",
-    "spearman_matrix_gaussian",
     "gaussian_spearman",
     "six",
     "six_from_matrix",
@@ -123,37 +121,12 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
         raise DimensionError("spearman_rho expects 1-d columns")
     if len(xa) != len(ya):
         raise DimensionError(f"length mismatch: {len(xa)} vs {len(ya)}")
-    return spearman_matrix(np.column_stack((xa, ya))).rho(0, 1)
+    return float(spearman_matrix(np.column_stack((xa, ya)))[0, 1])
 
 
-@dataclass(frozen=True)
-class SpearmanMatrix:
-    """A ``d x d`` matrix of pairwise Spearman's rhos with an estimator tag;
-    only its upper triangle is read, and NaN marks a pair that is left out."""
-
-    matrix: np.ndarray
-    estimator: str
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise DimensionError(f"need a square rho matrix with d >= 2, got shape {m.shape}")
-        if (np.abs(m) > 1.0).any():
-            raise DomainError(f"rho outside [-1, 1] in {m!r}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def d(self) -> int:
-        return len(self.matrix)
-
-    def rho(self, i: int, j: int) -> float:
-        if i == j:
-            return 1.0
-        return float(self.matrix[min(i, j), max(i, j)])
-
-
-def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
-    """Rank-sample Spearman matrix of the columns of a data matrix."""
+def spearman_matrix(data: "SampleMatrix | np.ndarray") -> np.ndarray:
+    """The ``d x d`` matrix of rank-sample Spearman's rhos of the columns of a
+    data matrix."""
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
     if values.ndim != 2 or values.shape[1] < 2:
         raise DimensionError("need an (n, d>=2) data matrix")
@@ -164,7 +137,7 @@ def spearman_matrix(data: "SampleMatrix | np.ndarray") -> SpearmanMatrix:
     rho = correlation_matrix(values)
     if np.isnan(rho).any():
         raise DegenerateDataError("constant column: rank correlation is undefined")
-    return SpearmanMatrix(rho, "rank-sample")
+    return rho
 
 
 def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
@@ -181,11 +154,6 @@ def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
     return float(value) if value.ndim == 0 else value
 
 
-def spearman_matrix_gaussian(corr: np.ndarray) -> SpearmanMatrix:
-    """Closed-form Spearman matrix implied by a Gaussian copula correlation matrix."""
-    return SpearmanMatrix(gaussian_spearman(corr), "closed-form-gaussian")
-
-
 @dataclass(frozen=True)
 class SixReport:
     """SIX value with its sharp bounds and the pair mixing weights."""
@@ -195,7 +163,6 @@ class SixReport:
     lower_bound: float
     upper_bound: float
     pair_weights: tuple[tuple[tuple[int, int], float], ...]
-    estimator: str
     n: int | None
     within_bounds: bool
 
@@ -206,7 +173,6 @@ class SixReport:
             "lower_bound": self.lower_bound,
             "upper_bound": self.upper_bound,
             "pair_weights": {f"{i},{j}": p for (i, j), p in self.pair_weights},
-            "estimator": self.estimator,
             "n": self.n,
             "within_bounds": self.within_bounds,
         }
@@ -253,15 +219,20 @@ def weighted_six(
 
 
 def six_from_matrix(
-    sm: SpearmanMatrix, w: "WeightVector | Iterable[float]", n: int | None = None
+    rho: np.ndarray, w: "WeightVector | Iterable[float]", n: int | None = None
 ) -> SixReport:
-    """Weighted average of pairwise rhos: ``sum w_i w_j rho_ij / sum w_i w_j``."""
+    """Weighted average of pairwise rhos: ``sum w_i w_j rho_ij / sum w_i w_j``
+    over the upper triangle of the ``d x d`` matrix ``rho``, where NaN marks a
+    pair that is left out."""
     wv = as_weight_vector(w)
-    if wv.d != sm.d:
-        raise DimensionError(f"weights have d={wv.d} but matrix has d={sm.d}")
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (wv.d, wv.d):
+        raise DimensionError(f"weights have d={wv.d} but rho matrix has shape {rho.shape}")
+    if (np.abs(rho) > 1.0).any():
+        raise DomainError(f"rho outside [-1, 1] in {rho!r}")
     pair_w = pair_weight_matrix(wv)
     bounds = six_bounds(wv)
-    value, within, used = weighted_six(sm.matrix, pair_w, bounds)
+    value, within, used = weighted_six(rho, pair_w, bounds)
     if math.isnan(value):
         raise DegenerateDataError("every pair of the rho matrix is left out")
     weights = pair_w[used]
@@ -272,7 +243,6 @@ def six_from_matrix(
         upper_bound=bounds[1],
         pair_weights=tuple(zip(map(tuple, np.argwhere(used).tolist()),
                                (weights / math.fsum(weights.tolist())).tolist())),
-        estimator=sm.estimator,
         n=n,
         within_bounds=within,
     )
@@ -348,9 +318,7 @@ def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) ->
     Depends on the model only through its copula correlations: the drift and
     the marginal volatilities cancel.
     """
-    wv = as_weight_vector(w)
-    sm = spearman_matrix_gaussian(model.correlations)
-    return six_from_matrix(sm, wv).six
+    return six_from_matrix(gaussian_spearman(model.correlations), w).six
 
 
 def _covariance_ratio(

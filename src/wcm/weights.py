@@ -19,7 +19,6 @@ from .errors import DimensionError, ExistenceError, InvalidWeightError
 
 __all__ = [
     "WeightVector",
-    "GroupPartition",
     "validate_wcm_existence",
     "existence_deficit",
     "shrink_weights",
@@ -80,40 +79,6 @@ def as_weight_vector(w: "WeightVector | Iterable[float]") -> WeightVector:
     return WeightVector(tuple(w))
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Three disjoint index groups covering ``range(d)`` with aggregate weights.
-
-    The aggregate triple forms the side lengths of a (possibly degenerate)
-    triangle: twice its maximum never exceeds its sum.
-    """
-
-    group_a: tuple[int, ...]
-    group_b: tuple[int, ...]
-    group_c: tuple[int, ...]
-    aggregates: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        seen = [i for g in self.groups for i in g]
-        if len(seen) != len(set(seen)):
-            raise DimensionError("partition groups must be disjoint")
-        if any(len(g) == 0 for g in self.groups):
-            raise DimensionError("partition groups must all be nonempty")
-        tol = CONSTRUCTION_TOL * max(1.0, math.fsum(self.aggregates))
-        if 2.0 * max(self.aggregates) > math.fsum(self.aggregates) + tol:
-            raise ExistenceError(
-                f"aggregate weights {self.aggregates} violate the triangle condition"
-            )
-
-    @property
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        return (self.group_a, self.group_b, self.group_c)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.group_a + self.group_b + self.group_c))
-
-
 def validate_wcm_existence(w: "WeightVector | Iterable[float]") -> bool:
     """True iff a copula concentrated on ``w . u == sum(w)/2`` exists.
 
@@ -137,25 +102,17 @@ def shrink_weights(w: "WeightVector | Iterable[float]") -> WeightVector:
     Entry ``w_i`` is kept when ``2*w_i <= sum(w)`` and replaced by
     ``sum(w) - w_i`` otherwise; at most one entry (the maximum) can be
     oversized.  Already-admissible vectors are returned unchanged, which makes
-    the operation bitwise idempotent.  The replacement is the correctly
-    rounded sum of the other entries, stepped down by at most a few ulps so
-    the result passes the exact existence test.
+    the operation bitwise idempotent.  The replacement ``r`` is the correctly
+    rounded sum (``fsum``) of the other entries, so it is the new maximum, and
+    the result always passes the exact existence test: ``r`` is within half an
+    ulp of their exact sum ``S``, so ``S + r`` rounds to at least ``2*r``.
     """
     w = as_weight_vector(w)
     if validate_wcm_existence(w):
         return w
     imax = w.values.index(w.wmax)
     replacement = math.fsum(v for i, v in enumerate(w.values) if i != imax)
-    for _ in range(64):
-        shrunk = WeightVector(
-            tuple(replacement if i == imax else v for i, v in enumerate(w.values))
-        )
-        if validate_wcm_existence(shrunk):
-            return shrunk
-        replacement = math.nextafter(replacement, 0.0)
-    raise AssertionError(  # pragma: no cover - deficit shrinks every step
-        f"could not shrink {w.values} to an existent weight vector"
-    )
+    return WeightVector(tuple(replacement if i == imax else v for i, v in enumerate(w.values)))
 
 
 def variance_lower_bound(w: "WeightVector | Iterable[float]") -> float:
@@ -174,14 +131,16 @@ def variance_upper_bound(w: "WeightVector | Iterable[float]") -> float:
     return w.s1 * w.s1 / 12.0
 
 
-def partition_weights(w: "WeightVector | Iterable[float]") -> GroupPartition:
+def partition_weights(
+    w: "WeightVector | Iterable[float]",
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Split indices into three groups whose aggregate weights form a triangle.
 
     Weights are sorted descending (stable, so ties keep their original
-    order).  Group A holds the largest weight, group B the weights at odd
-    sorted positions after the first (third, fifth, ...), group C those at
-    even sorted positions (second, fourth, ...).  Pairing consecutive sorted
-    weights shows the aggregates always satisfy the two easy triangle
+    order).  The first group holds the largest weight, the second the weights
+    at odd sorted positions after the first (third, fifth, ...), the third
+    those at even sorted positions (second, fourth, ...).  Pairing consecutive
+    sorted weights shows the aggregates always satisfy the two easy triangle
     inequalities; the third one is exactly the existence criterion.
     """
     w = as_weight_vector(w)
@@ -195,12 +154,4 @@ def partition_weights(w: "WeightVector | Iterable[float]") -> GroupPartition:
             f"{existence_deficit(w):.17g} > 0"
         )
     order = sorted(range(w.d), key=lambda i: -w.values[i])
-    group_a = (order[0],)
-    group_b = tuple(order[i] for i in range(2, w.d, 2))
-    group_c = tuple(order[i] for i in range(1, w.d, 2))
-    aggregates = (
-        w.values[order[0]],
-        math.fsum(w.values[i] for i in group_b),
-        math.fsum(w.values[i] for i in group_c),
-    )
-    return GroupPartition(group_a, group_b, group_c, aggregates)
+    return (order[0],), tuple(order[2::2]), tuple(order[1::2])

@@ -252,7 +252,7 @@ def grouped_sample_oracle(g, n: int, seed: int) -> np.ndarray:
     """A grouped copula's sample as first written: the triangle draw, then one
     C-order ``take`` of its columns."""
     col_of = np.empty(g.d, dtype=np.intp)
-    for col, group in enumerate(g.partition.groups):
+    for col, group in enumerate(g.groups):
         col_of[list(group)] = col
     return triangle_draw_oracle(g.inner, make_rng(seed), n).take(col_of, axis=1, mode="clip")
 

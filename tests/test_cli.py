@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ class TestValidate:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidWeightError"
+
+    def test_out_file_holds_what_stdout_gets(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        argv = ["validate", "5", "4", "3"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        # the manifest records the argv, so only that field differs
+        payload["manifest"]["argv"] = argv + ["--out", str(path)]
+        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_threads_variable_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("WCM_THREADS", "abc")
@@ -204,6 +216,17 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "lower l(w)" in out
         assert repr(1 / 12) in out
+
+        argv = ["bounds", "5", "1", "1", "--mc", "1000", "--seed", "1"]
+        assert main(argv) == 0
+        rows = {key.strip(): value.strip() for key, value in
+                (line.split("  ", 1) for line in capsys.readouterr().out.splitlines())}
+        _, payload = run_json(capsys, argv + ["--json"])
+        mc = payload["mc"]
+        assert rows["mc estimate"] == repr(mc["estimate"])
+        assert rows["mc stderr"] == repr(mc["stderr"])
+        assert rows["mc n"] == repr(mc["n"]) == "1000"
+        assert rows["seed"] == repr(mc["seed"]) == "1"
 
     def test_thread_count_does_not_change_output(self, capsys):
         argv = ["bounds", "5", "1", "1", "--mc", "300000", "--seed", "3", "--json"]
@@ -401,3 +424,16 @@ def test_import_does_not_load_scipy():
             check=True,
         )
         assert proc.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("workload", ["six-rank", "six-lognormal", "mc-bounds", "sample-csv"])
+def test_bench_hook_targets_define_what_the_bench_patches(monkeypatch, workload):
+    # The traced bench run swaps ``owner.__dict__[attr]`` for a timing wrapper,
+    # so a hooked function that moved (say, into a base class) breaks only there.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import spans
+    import worker
+
+    for hook in worker._hooks(workload):
+        assert hook.attr in vars(spans._resolve(hook.target)), (hook.target, hook.attr)

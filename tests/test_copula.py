@@ -40,7 +40,6 @@ from wcm.errors import (
     ExistenceError,
     MassNormalizationError,
 )
-from wcm.weights import GroupPartition
 
 positive_weight = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
 triple_strategy = st.lists(
@@ -224,14 +223,19 @@ class TestCdf:
 
     def test_frechet_sandwich_on_grid(self):
         grid = np.linspace(0.0, 1.0, 11)
-        for w, variant in (((5, 4, 3), "A"), ((5, 4, 3), "B"), ((2, 1, 1), "A")):
-            c = build_triangle(w, variant)
+        copulas = [build_triangle(w, variant)
+                   for w, variant in (((5, 4, 3), "A"), ((5, 4, 3), "B"), ((2, 1, 1), "A"))]
+        for c in copulas + [ComonotonicCopula(3), IndependenceCopula(3)]:
             for x in grid:
                 for y in grid:
                     for z in grid:
                         lower, upper = frechet_bounds((x, y, z))
                         value = c.cdf((x, y, z))
                         assert lower - 1e-12 <= value <= upper + 1e-12
+                        if isinstance(c, ComonotonicCopula):
+                            assert value == upper
+                        elif isinstance(c, IndependenceCopula):
+                            assert value == math.prod((x, y, z))
 
 
 MARGINAL_CASES = [
@@ -264,7 +268,7 @@ SUPPORT_WEIGHTS = [(1, 1, 1), (5, 4, 3), (1, 1, 1, 1), (3, 3, 2, 2)]
 def test_support_constraint_100k(w):
     copula = build_grouped_wcm(w)
     samples = copula.sample(100_000, seed=20240 + len(w))
-    ok, max_dev = check_wcm(samples, w, tol=1e-9)
+    ok, max_dev = check_wcm(samples, w)
     assert ok, f"max deviation {max_dev}"
 
 
@@ -336,9 +340,7 @@ class TestSampling:
         g = build_grouped_wcm(w)
         inner = triangle_draw_oracle(g.inner, make_rng(8), 1000)
         expected = np.empty((1000, g.d))
-        for col, group in enumerate(
-            (g.partition.group_a, g.partition.group_b, g.partition.group_c)
-        ):
+        for col, group in enumerate(g.groups):
             for i in group:
                 expected[:, i] = inner[:, col]
         values = g.sample(1000, seed=8).values
@@ -415,7 +417,7 @@ class TestSampling:
                 build_grouped_wcm(w)
             return
         copula = build_grouped_wcm(w)
-        ok, max_dev = check_wcm(copula.sample(2000, seed=8), w, tol=1e-9)
+        ok, max_dev = check_wcm(copula.sample(2000, seed=8), w)
         assert ok, max_dev
 
 
@@ -440,18 +442,15 @@ class TestGrouped:
     def test_equal_quadruple_structure(self):
         g = build_grouped_wcm((1, 1, 1, 1))
         assert isinstance(g, GroupedWCMCopula)
-        assert g.partition.group_a == (0,)
-        assert g.partition.group_b == (2,)
-        assert g.partition.group_c == (1, 3)
+        assert g.groups == ((0,), (2,), (1, 3))
         assert g.inner.weights == (1.0, 1.0, 2.0)
 
     def test_partition_must_cover_every_coordinate(self):
-        with pytest.raises(DimensionError):
-            GroupedWCMCopula(
-                (1.0, 1.0, 1.0, 1.0),
-                GroupPartition((0,), (1,), (2,), (1.0, 1.0, 1.0)),
-                build_triangle((1, 1, 1)),
-            )
+        inner = build_triangle((1, 1, 1))
+        for groups in (((0,), (1,), (2,)), ((0,), (1, 2), (2, 3)), ((0, 1), (2, 3), ()),
+                       ((0, 1), (2, 3))):
+            with pytest.raises(DimensionError):
+                GroupedWCMCopula((1.0, 1.0, 1.0, 1.0), groups, inner)
 
     def test_543_aggregates(self):
         g = build_grouped_wcm((5, 4, 3))
@@ -464,7 +463,7 @@ class TestGrouped:
     def test_within_group_comonotonic(self):
         g = build_grouped_wcm((1, 1, 1, 1))
         values = g.sample(1000, seed=77).values
-        i, j = g.partition.group_c
+        i, j = g.groups[2]
         assert np.array_equal(values[:, i], values[:, j])
 
     def test_pair_reduces_to_countermonotonic(self):

@@ -26,7 +26,6 @@ from wcm.data import (SLIDE_ROWS, PriceSeries, _rolling_ranks, _window_pair_rhos
 from wcm.errors import DegenerateDataError, DomainError
 from wcm.indices import (
     LognormalModel,
-    SpearmanMatrix,
     correlation_matrix,
     gaussian_spearman,
     hix_lognormal,
@@ -253,7 +252,7 @@ def rho_matrices(draw):
 @given(rho_matrices())
 def test_six_from_matrix_matches_the_pairs_tuple_average(case):
     rho, w = case
-    report = six_from_matrix(SpearmanMatrix(rho, "test"), w)
+    report = six_from_matrix(rho, w)
     assert (report.six, report.pair_weights) == six_from_pairs_oracle(*upper_pairs(rho), w)
 
 
@@ -283,11 +282,11 @@ def test_six_and_its_bounds_do_not_depend_on_a_power_of_two_scale(w, k, seed):
 
 def test_six_from_matrix_leaves_out_nan_pairs():
     rho = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, np.nan], [np.nan, np.nan, 1.0]])
-    report = six_from_matrix(SpearmanMatrix(rho, "test"), (1, 2, 3))
+    report = six_from_matrix(rho, (1, 2, 3))
     assert (report.six, report.pair_weights) == (0.5, (((0, 1), 1.0),))
     rho[0, 1] = np.nan
     with pytest.raises(DegenerateDataError):
-        six_from_matrix(SpearmanMatrix(rho, "test"), (1, 2, 3))
+        six_from_matrix(rho, (1, 2, 3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,10 +314,9 @@ def test_non_finite_data_is_rejected_before_ranking():
 
 def test_spearman_matrix_lookup_is_symmetric():
     x = np.random.default_rng(3).standard_normal((40, 6))
-    sm = spearman_matrix(x)
-    for i, j in upper_pairs(sm.matrix)[0]:
-        assert sm.rho(i, j) == sm.rho(j, i) == sm.matrix[i, j]
-    assert sm.rho(4, 4) == 1.0
+    m = spearman_matrix(x)
+    assert np.array_equal(m, m.T)
+    assert (np.diag(m) == 1.0).all()
 
 
 @settings(max_examples=200, deadline=None)

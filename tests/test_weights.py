@@ -91,9 +91,16 @@ class TestShrink:
         once = shrink_weights(values)
         assert shrink_weights(once).values == once.values
 
-    @given(weights_strategy)
-    def test_result_always_exists(self, values):
-        assert validate_wcm_existence(shrink_weights(values))
+    @given(st.lists(st.tuples(st.just(1.0) | st.floats(1.0, 2.0, exclude_max=True),
+                              st.integers(-1070, 1000)),
+                    min_size=2, max_size=13))
+    def test_result_always_exists(self, parts):
+        values = tuple(math.ldexp(m, e) for m, e in parts)
+        shrunk = shrink_weights(values).values
+        assert validate_wcm_existence(shrunk)
+        if not validate_wcm_existence(values):
+            imax = values.index(max(values))
+            assert shrunk[imax] == math.fsum(values[:imax] + values[imax + 1:])
 
     @given(weights_strategy)
     def test_existent_weights_are_fixed_points(self, values):
@@ -118,30 +125,25 @@ class TestVarianceBounds:
         assert variance_lower_bound(values) < variance_upper_bound(values)
 
 
+def aggregates(values):
+    """The aggregate weight of each group of ``partition_weights(values)``."""
+    return tuple(math.fsum(values[i] for i in g) for g in partition_weights(values))
+
+
 class TestPartition:
     def test_543_triple(self):
-        part = partition_weights((5, 4, 3))
-        assert part.group_a == (0,)
-        assert part.group_b == (2,)
-        assert part.group_c == (1,)
-        assert part.aggregates == (5.0, 3.0, 4.0)
+        assert partition_weights((5, 4, 3)) == ((0,), (2,), (1,))
+        assert aggregates((5, 4, 3)) == (5.0, 3.0, 4.0)
 
     def test_degenerate_quadruple(self):
-        part = partition_weights((3, 3, 2, 2))
-        assert part.aggregates == (3.0, 2.0, 5.0)
+        assert aggregates((3, 3, 2, 2)) == (3.0, 2.0, 5.0)
 
     def test_equal_quadruple(self):
-        part = partition_weights((1, 1, 1, 1))
-        assert part.group_a == (0,)
-        assert part.group_b == (2,)
-        assert part.group_c == (1, 3)
-        assert part.aggregates == (1.0, 1.0, 2.0)
+        assert partition_weights((1, 1, 1, 1)) == ((0,), (2,), (1, 3))
+        assert aggregates((1, 1, 1, 1)) == (1.0, 1.0, 2.0)
 
     def test_ties_keep_original_order(self):
-        part = partition_weights((2, 2, 2))
-        assert part.group_a == (0,)
-        assert part.group_c == (1,)
-        assert part.group_b == (2,)
+        assert partition_weights((2, 2, 2)) == ((0,), (2,), (1,))
 
     def test_rejects_nonexistent(self):
         with pytest.raises(ExistenceError):
@@ -156,6 +158,6 @@ class TestPartition:
     def test_aggregates_form_triangle(self, values):
         if not validate_wcm_existence(values):
             return
-        part = partition_weights(values)
-        assert 2.0 * max(part.aggregates) <= math.fsum(part.aggregates) * (1 + 1e-12)
-        assert sorted(part.indices) == list(range(len(values)))
+        agg = aggregates(values)
+        assert 2.0 * max(agg) <= math.fsum(agg) * (1 + 1e-12)
+        assert sorted(sum(partition_weights(values), ())) == list(range(len(values)))
