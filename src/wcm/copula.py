@@ -67,6 +67,7 @@ SUPPORT_TOL = 1e-9
 _EDGES = ((0, 1), (1, 2), (2, 0))
 _EDGE_LABELS = ("m12", "m23", "m31")
 _CSV_BLOCK = 1 << 14  # rows per block of CSV text: bounds the strings held at once
+_DRAW_BLOCK = 1 << 14  # rows per block of a triangle draw: keeps its temporaries in L2
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -287,18 +288,28 @@ class TriangleCopula:
         position along it.  Deterministic given ``seed``."""
         meta = {"weights": list(self.weights), "variant": self.variant,
                 "construction": "triangle"}
-        return _sampled(n, seed, lambda rng, n: np.column_stack(self._columns(rng, n)), meta)
+        return _sampled(n, seed, lambda rng, n: self._draw(rng, n, (0, 1, 2)), meta)
 
-    def _columns(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-        """The three coordinate columns of ``n`` draws."""
+    def _draw(self, rng: np.random.Generator, n: int, cols: Sequence[int]) -> np.ndarray:
+        """``n`` draws as a C-order ``(n, len(cols))`` matrix whose column ``i``
+        is coordinate ``cols[i]``: all uniforms first, then the coordinates
+        ``_DRAW_BLOCK`` rows at a time.  Each step is elementwise, so the bits
+        do not depend on the block size."""
         cum = np.cumsum(self.masses)
         u = rng.random(n)
-        # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
-        edge = np.add(u >= cum[0], u >= cum[1], dtype=np.intp)
         t = rng.random(n)
-        s = 1.0 - t
         start, end = (np.array([self.vertices[e[side]] for e in _EDGES]).T for side in (0, 1))
-        return tuple(t * a.take(edge) + s * b.take(edge) for a, b in zip(start, end))
+        out = np.empty((n, len(cols)))
+        for lo in range(0, n, _DRAW_BLOCK):
+            ub, tb = u[lo:lo + _DRAW_BLOCK], t[lo:lo + _DRAW_BLOCK]
+            # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
+            edge = np.add(ub >= cum[0], ub >= cum[1], dtype=np.intp)
+            sb = 1.0 - tb
+            coords = [tb * a.take(edge) + sb * b.take(edge) for a, b in zip(start, end)]
+            block = out[lo:lo + _DRAW_BLOCK]
+            for i, col in enumerate(cols):
+                block[:, i] = coords[col]
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -422,15 +433,12 @@ class GroupedWCMCopula:
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
         col_of = {i: col for col, group in enumerate(self.groups) for i in group}
+        cols = [col_of[i] for i in range(self.d)]
         meta = {"weights": list(self.weights), "construction": "grouped",
                 "groups": [list(group) for group in self.groups],
                 "aggregates": list(self.inner.weights)}
-        # C order (column_stack): the bits of a downstream ``values @ w`` depend on it
-        def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-            cols = self.inner._columns(rng, n)
-            return np.column_stack([cols[col_of[i]] for i in range(self.d)])
-
-        return _sampled(n, seed, draw, meta)
+        # C order: the bits of a downstream ``values @ w`` depend on it
+        return _sampled(n, seed, lambda rng, n: self.inner._draw(rng, n, cols), meta)
 
 
 def build_grouped_wcm(

@@ -44,6 +44,8 @@ DEFAULT_WINDOW = 84  # "four months" of observations at ~21 trading days/month
 # us); the crossover was about 5 rows at 21-row windows and 7 at 168 rows.
 SLIDE_ROWS = 6
 
+_BAD_PRICE = "missing or non-positive price"
+
 
 @dataclass(frozen=True)
 class LoadReport:
@@ -103,19 +105,6 @@ def _parse_date(text: str) -> dt.date:
         raise DomainError(f"malformed date {text!r}: {exc}") from exc
 
 
-def _parse_price(text: str) -> float | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    if not math.isfinite(value) or value <= 0.0:
-        return None
-    return value
-
-
 def load_prices(path, index_column: str | None = None) -> PriceSeries:
     """Read a price CSV (header ``date,<ticker>,...``) into a PriceSeries.
 
@@ -139,8 +128,9 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
             raise DomainError(f"{path}: ticker names must be nonempty and distinct, got {tickers}")
         if index_column is not None and index_column not in tickers:
             raise DomainError(f"{path}: index column {index_column!r} not in {tickers}")
-        rows: list[tuple[dt.date, list[float]]] = []
-        dropped: list[tuple[str, str]] = []
+        rows: list[tuple[int, str, dt.date]] = []  # (row position, date string, date)
+        cells: list[list[float]] = []
+        dropped: list[tuple[int, str, str]] = []  # (row position, date string, reason)
         rows_read = 0
         for record in reader:
             if not record or all(not cell.strip() for cell in record):
@@ -148,27 +138,34 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
             rows_read += 1
             date_text = record[0]
             date = _parse_date(date_text)
-            cells = record[1:]
-            if len(cells) != len(tickers):
-                dropped.append((date_text, "wrong number of cells"))
+            if len(record) - 1 != len(tickers):
+                dropped.append((rows_read, date_text, "wrong number of cells"))
                 continue
-            prices = [_parse_price(c) for c in cells]
-            if any(p is None for p in prices):
-                dropped.append((date_text, "missing or non-positive price"))
+            try:  # float() strips the whitespace str.strip() does
+                cells.append(list(map(float, record[1:])))
+            except ValueError:
+                dropped.append((rows_read, date_text, _BAD_PRICE))
                 continue
-            rows.append((date, prices))  # type: ignore[arg-type]
+            rows.append((rows_read, date_text, date))
+    table = np.array(cells).reshape(len(rows), len(tickers))
+    usable = ((table > 0.0) & (table < math.inf)).all(axis=1)
+    if not usable.all():
+        dropped += [(pos, text, _BAD_PRICE) for (pos, text, _), ok in zip(rows, usable) if not ok]
+        dropped.sort()
+        rows = [row for row, ok in zip(rows, usable) if ok]
+        table = table[usable]
     if not rows:
         raise DomainError(f"{path}: no usable rows")
+    dates = [date for _, _, date in rows]
     seen = set()
-    for date, _ in rows:
+    for date in dates:
         if date in seen:
             raise DomainError(f"{path}: duplicate date {date}")
         seen.add(date)
-    dates = [date for date, _ in rows]
     if dates != sorted(dates):
         raise DomainError(f"{path}: dates are not sorted; refusing to reorder")
-    table = np.array([p for _, p in rows])
-    report = LoadReport(rows_read=rows_read, rows_kept=len(rows), dropped=tuple(dropped))
+    report = LoadReport(rows_read=rows_read, rows_kept=len(rows),
+                        dropped=tuple((text, reason) for _, text, reason in dropped))
     market_index = None
     if index_column is not None:
         pos = tickers.index(index_column)

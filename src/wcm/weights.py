@@ -53,6 +53,10 @@ class WeightVector:
         for v in vals:
             if not math.isfinite(v) or v <= 0.0:
                 raise InvalidWeightError(f"weights must be finite and > 0, got {v!r}")
+        try:
+            math.fsum(vals)
+        except OverflowError:
+            raise InvalidWeightError(f"the sum of the weights {vals} overflows") from None
         object.__setattr__(self, "values", vals)
 
     @property

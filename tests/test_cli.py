@@ -44,6 +44,15 @@ class TestValidate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidWeightError"
 
+    @pytest.mark.parametrize("argv", [["validate", "1e308", "1e308"],
+                                      ["bounds", "1.7e308", "1e308", "1e308"]])
+    def test_weights_whose_sum_overflows_exit_one(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "wcm.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "InvalidWeightError"
+
     def test_out_file_holds_what_stdout_gets(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         argv = ["validate", "5", "4", "3"]

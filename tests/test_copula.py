@@ -3,6 +3,7 @@ support/uniformity invariants."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from helpers import (
     triangle_draw_oracle,
     variant_b_oracle,
 )
+from wcm.bounds import MC_BATCH
 from wcm.copula import (
     _CSV_BLOCK,
+    _DRAW_BLOCK,
     ComonotonicCopula,
     CountermonotonicPair,
     GroupedWCMCopula,
@@ -47,6 +50,11 @@ triple_strategy = st.lists(
     min_size=3,
     max_size=3,
 ).map(tuple).filter(lambda w: 2 * max(w) <= sum(w))
+# Sample sizes inside one draw block and across its boundaries.
+draw_sizes = st.one_of(
+    st.integers(min_value=1, max_value=3000),
+    st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3, MC_BATCH]),
+)
 
 
 class TestTriangleParams:
@@ -347,10 +355,22 @@ class TestSampling:
         assert np.array_equal(values, expected)
         assert values.flags.c_contiguous
 
+    def test_draw_holds_no_full_length_temporaries(self):
+        # The output and the two uniform streams, plus the per-block temporaries.
+        n = 1 << 18
+        g = build_grouped_wcm((5, 4, 3, 2))
+        tracemalloc.start()
+        try:
+            values = g.sample(n, 1).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 2 * n * values.itemsize + (2 << 20)
+
     @given(
         st.one_of(triple_strategy, st.sampled_from([(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1, 2)])),
         st.sampled_from(["A", "B"]),
-        st.integers(min_value=1, max_value=3000),
+        draw_sizes,
         st.integers(min_value=0, max_value=2**63 - 1),
     )
     @settings(max_examples=150, deadline=None)
@@ -380,7 +400,7 @@ class TestSampling:
             def random(self, n):
                 return self.draws.pop(0)[:n]
 
-        values = np.column_stack(tri._columns(Replay(), len(u)))
+        values = tri._draw(Replay(), len(u), (0, 1, 2))
         expected = triangle_draw_oracle(tri, Replay(), len(u))
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
@@ -393,7 +413,7 @@ class TestSampling:
                 (1, 1, 1, 1), (2, 1, 1), (4, 1, 1, 1, 1), (6, 5, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1),
             ]),
         ),
-        st.integers(min_value=1, max_value=3000),
+        draw_sizes,
         st.integers(min_value=0, max_value=2**63 - 1),
     )
     @settings(max_examples=150, deadline=None)

@@ -33,7 +33,8 @@ class TestWeightVector:
         assert w.s2 == 50.0
         assert w.wmax == 5.0
 
-    @pytest.mark.parametrize("bad", [(), (1.0,), (1.0, 0.0), (1.0, -2.0), (1.0, float("nan"))])
+    @pytest.mark.parametrize("bad", [(), (1.0,), (1.0, 0.0), (1.0, -2.0), (1.0, float("nan")),
+                                     (1e308, 1e308), (1.7e308, 1e308, 1e308)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidWeightError):
             WeightVector(bad)
