@@ -5,8 +5,8 @@ Subcommands: ``validate``, ``construct``, ``sample``, ``cdf``, ``bounds``,
 command that consumes randomness either receives an explicit ``--seed`` or
 has one generated and recorded, and each run emits a manifest (command,
 arguments, seed, version, output digests) so outputs can be reproduced
-byte-for-byte.  Exit codes: 0 success, 1 domain error (JSON on stderr),
-2 usage error.
+byte-for-byte.  Exit codes: 0 success, 1 domain error or ``OSError`` (JSON on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
 import secrets
 import sys
+from typing import Iterable
 
 from . import __version__
 from .bounds import variance_bound_report
@@ -28,10 +29,6 @@ from .indices import rhix_degeneracy_curve
 from .weights import as_weight_vector, existence_deficit, validate_wcm_existence
 
 __all__ = ["main", "entrypoint"]
-
-
-def _digest(data: str) -> str:
-    return hashlib.sha256(data.encode()).hexdigest()
 
 
 def _manifest(
@@ -48,8 +45,17 @@ def _manifest(
     }
 
 
+def _dumps(payload: dict, **kwargs) -> str:
+    """JSON text of ``payload``; a non-finite float, which JSON cannot carry,
+    is a :class:`DomainError`."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise DomainError(f"output holds a non-finite float: {exc}") from None
+
+
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload, indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -58,20 +64,28 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 
 def _write_with_manifest(
-    text: str, out_path: str | None, args, seed: int | None, **counts: int
+    blocks: Iterable[str], out_path: str | None, args, seed: int | None, **counts: int
 ) -> None:
-    """Write tabular output plus a sidecar manifest (stderr when streaming)."""
+    """Write tabular output plus a sidecar manifest (stderr when streaming).
+
+    Each block of text is encoded once, written and fed to one sha256, so only
+    one block is held at a time and the digest is of the bytes written.
+    """
+    digest = hashlib.sha256()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-        manifest = _manifest(args, seed, {out_path: _digest(text)}, **counts)
-        with open(out_path + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        with open(out_path, "wb") as fh:
+            for block in blocks:
+                data = block.encode()
+                fh.write(data)
+                digest.update(data)
+        manifest = _manifest(args, seed, {out_path: digest.hexdigest()}, **counts)
+        _emit_json(manifest, out_path + ".manifest.json")
     else:
-        sys.stdout.write(text)
-        manifest = _manifest(args, seed, {"-": _digest(text)}, **counts)
-        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
+        for block in blocks:
+            sys.stdout.write(block)
+            digest.update(block.encode())
+        manifest = _manifest(args, seed, {"-": digest.hexdigest()}, **counts)
+        sys.stderr.write(_dumps(manifest) + "\n")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -122,7 +136,7 @@ def _cmd_sample(args) -> int:
         payload["manifest"] = _manifest(args, seed, {})
         _emit_json(payload, args.out)
     else:
-        _write_with_manifest(matrix.to_csv_string(), args.out, args, seed)
+        _write_with_manifest(matrix.csv_blocks(), args.out, args, seed)
     return 0
 
 
@@ -169,7 +183,7 @@ def _cmd_bounds(args) -> int:
             ]
         width = max(len(k) for k, _ in rows)
         table = "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
-        _write_with_manifest(table, None, args, seed)
+        _write_with_manifest([table], None, args, seed)
     return 0
 
 
@@ -198,7 +212,7 @@ def _cmd_six(args) -> int:
     else:
         buf = io.StringIO()
         rolling.to_csv(buf)
-        _write_with_manifest(buf.getvalue(), args.out, args, None, **counts)
+        _write_with_manifest([buf.getvalue()], args.out, args, None, **counts)
     return 0
 
 
@@ -218,7 +232,7 @@ def _cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     curve = rhix_degeneracy_curve(args.rho, grid)
     lines = ["sigma,rhix"] + [f"{s!r},{v!r}" for s, v in curve]
-    _write_with_manifest("\n".join(lines) + "\n", args.out, args, None)
+    _write_with_manifest(["\n".join(lines) + "\n"], args.out, args, None)
     return 0
 
 
@@ -312,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except WcmError as exc:
+    except (WcmError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
         return 1

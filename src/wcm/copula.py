@@ -66,7 +66,7 @@ SUPPORT_TOL = 1e-9
 
 _EDGES = ((0, 1), (1, 2), (2, 0))
 _EDGE_LABELS = ("m12", "m23", "m31")
-_CSV_BLOCK = 1 << 14  # rows per block of CSV text: bounds the strings held at once
+_CSV_BLOCK = 1 << 10  # rows per block of CSV text (~230 KB at d = 12): bounds the strings held at once
 _DRAW_BLOCK = 1 << 14  # rows per block of a triangle draw: keeps its temporaries in L2
 
 
@@ -121,15 +121,15 @@ class SampleMatrix:
     def to_csv(self, path_or_buf) -> None:
         """Write one observation per row with header ``u1,...,ud``."""
         if hasattr(path_or_buf, "write"):
-            path_or_buf.writelines(self._csv_blocks())
+            path_or_buf.writelines(self.csv_blocks())
         else:
             with open(path_or_buf, "w", newline="") as fh:
-                fh.writelines(self._csv_blocks())
+                fh.writelines(self.csv_blocks())
 
     def to_csv_string(self) -> str:
-        return "".join(self._csv_blocks())
+        return "".join(self.csv_blocks())
 
-    def _csv_blocks(self) -> Iterator[str]:
+    def csv_blocks(self) -> Iterator[str]:
         """The header, then blocks of rows of ``repr`` cells.  Each bitwise-distinct
         column is formatted once per block; bits, unlike ``==``, tell -0.0 from 0.0."""
         yield ",".join(f"u{k + 1}" for k in range(self.d)) + "\n"

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DimensionError, ExistenceError, InvalidWeightError
+from .errors import DimensionError, DomainError, ExistenceError, InvalidWeightError
 
 __all__ = [
     "WeightVector",
@@ -95,9 +95,11 @@ def validate_wcm_existence(w: "WeightVector | Iterable[float]") -> bool:
 
 
 def existence_deficit(w: "WeightVector | Iterable[float]") -> float:
-    """``2*max(w) - sum(w)``; positive exactly when no such copula exists."""
+    """``2*max(w) - sum(w)``; positive exactly when no such copula exists.
+    ``fsum`` gives the bits of ``2.0 * max(w) - sum(w)`` without forming
+    ``2.0 * max(w)``, which overflows above half the float range."""
     w = as_weight_vector(w)
-    return 2.0 * w.wmax - w.s1
+    return math.fsum((w.wmax, -w.s1, w.wmax))
 
 
 def shrink_weights(w: "WeightVector | Iterable[float]") -> WeightVector:
@@ -123,16 +125,23 @@ def variance_lower_bound(w: "WeightVector | Iterable[float]") -> float:
     """Sharp lower bound ``(max(0, 2*max(w) - sum(w)))^2 / 12`` of
     ``Var(sum(w_i U_i))`` over all copulas with uniform marginals."""
     w = as_weight_vector(w)
-    deficit = 2.0 * w.wmax - w.s1
+    deficit = existence_deficit(w)
     if deficit <= 0.0:
         return 0.0
-    return deficit * deficit / 12.0
+    return _finite_bound(deficit * deficit / 12.0, w)
 
 
 def variance_upper_bound(w: "WeightVector | Iterable[float]") -> float:
     """Sharp upper bound ``sum(w)^2 / 12``, attained by comonotonicity."""
     w = as_weight_vector(w)
-    return w.s1 * w.s1 / 12.0
+    return _finite_bound(w.s1 * w.s1 / 12.0, w)
+
+
+def _finite_bound(bound: float, w: WeightVector) -> float:
+    """``bound``, or a :class:`DomainError` when it overflowed a float."""
+    if math.isinf(bound):
+        raise DomainError(f"the variance bound of the weights {w.values} overflows a float")
+    return bound
 
 
 def partition_weights(

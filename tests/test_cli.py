@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,40 @@ def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, json.loads(captured.out)
+
+
+def assert_written(capsys, tmp_path, argv, digest):
+    """``argv`` writes bytes of sha256 ``digest`` to stdout and to ``--out``, and
+    each manifest records the digest of the bytes written."""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert json.loads(captured.err)["outputs"] == {"-": digest}
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["outputs"] == {str(out): digest}
+
+
+@pytest.fixture()
+def price_csv(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 60
+    returns = 0.02 * rng.standard_normal((n, 3))
+    returns[:, 2] = returns[:, 1]  # two comoving assets
+    prices = 100 * np.exp(np.vstack([np.zeros(4), np.column_stack(
+        [np.cumsum(returns, axis=0), np.cumsum(0.01 * rng.standard_normal(n))]
+    )]))
+    path = tmp_path / "prices.csv"
+    lines = ["date,AAA,BBB,CCC,IDX"]
+    day = dt.date(2022, 1, 3)
+    for row in prices:
+        lines.append(",".join([day.isoformat()] + [repr(float(v)) for v in row]))
+        day += dt.timedelta(days=1)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestValidate:
@@ -52,6 +87,20 @@ class TestValidate:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"] == "InvalidWeightError"
+
+    def test_largest_weight_above_half_the_float_range(self, capsys):
+        assert main(["validate", "1e308", "7e307"]) == 0
+        out = capsys.readouterr().out
+        assert "Infinity" not in out
+        payload = json.loads(out)
+        assert payload["exists"] is False
+        assert payload["deficit"] == pytest.approx(3e307, rel=1e-15)
+
+    def test_out_path_that_is_a_directory_exits_one(self, capsys, tmp_path):
+        assert main(["validate", "1", "1", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "IsADirectoryError"
 
     def test_out_file_holds_what_stdout_gets(self, capsys, tmp_path):
         path = tmp_path / "f.json"
@@ -164,6 +213,34 @@ class TestSample:
         assert main(["sample", "1", "1", "1", "1", "--n", "10", "--seed", "1",
                      "--variant", "B"]) == 1
 
+    @pytest.mark.parametrize("name, error", [("missing/x.csv", "FileNotFoundError"),
+                                             ("dir", "IsADirectoryError")])
+    def test_unwritable_out_exits_one_without_a_manifest(self, capsys, tmp_path, name, error):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / name
+        assert main(["sample", "5", "4", "3", "--n", "3", "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == error
+        assert str(out) in err["message"]
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_csv_is_written_without_holding_its_text(self, capsys, tmp_path):
+        # The matrix, two n-length float arrays of the draw and one block of text
+        # fit; the whole text (~44 MB here) does not.
+        n = 200_000
+        weights = ["6", "5", "4", "3", "3", "2", "2", "2", "1", "1", "1", "1"]
+        tracemalloc.start()
+        try:
+            code = main(["sample", *weights, "--n", str(n), "--seed", "1",
+                         "--out", str(tmp_path / "s.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= n * len(weights) * 8 + 2 * n * 8 + (4 << 20)
+
     def test_negative_seed_exits_one(self, capsys):
         assert main(["sample", "5", "4", "3", "--n", "3", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
@@ -175,17 +252,39 @@ class TestSample:
 
 class TestGoldenOutputs:
     """Outputs recorded from the row-wise sample path that the column-wise one
-    replaced; every byte must stay."""
+    replaced, and tabular outputs recorded before the writer streamed blocks;
+    every byte must stay, on stdout and in ``--out`` files alike."""
 
     @pytest.mark.parametrize("argv, digest", [
         ("sample 6 5 4 3 3 2 2 2 1 1 1 1 --n 2000 --seed 1",
          "51ef4dae966226ab0e979a7dd7896b4a3f03e862e44e1581c5ba8ec02aa0c6ed"),
         ("sample 5 4 3 --variant B --n 500 --seed 4",
          "ee8b73c9feadbaad7aea7ec71af86fba0650813dbd1fd36b109cc5636c07ba78"),
+        ("sample 5 4 3 --n 1 --seed 9",
+         "ec409bec425e73ced9c252b12e8d4e57b152787e614f873f38bd4a88582e3e4e"),
     ])
-    def test_sample_csv_digest(self, capsys, argv, digest):
-        assert main(argv.split()) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    def test_sample_csv_digest(self, capsys, tmp_path, argv, digest):
+        assert_written(capsys, tmp_path, argv.split(), digest)
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("six PRICES --window 20 --step 5",
+         "4549a47e965fd6de11ddd8e3796d05f734f39e00483f873df1fe860a71b85ca9"),
+        ("curve 0.5 0.1:5:0.1",
+         "f9d44118e8e6d3eb3c25ea1d469efad7f5ff009f5fdbdd2a047499a9c29b8d29"),
+    ])
+    def test_six_and_curve_csv_digest(self, capsys, tmp_path, price_csv, argv, digest):
+        assert_written(capsys, tmp_path, argv.replace("PRICES", str(price_csv)).split(), digest)
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("bounds 2 1", "a15d47109a9be38bf9a5cea82f623c727cfbffc94ba95ea38622b6d949408c4f"),
+        ("bounds 5 1 1 --mc 1000 --seed 1",
+         "0134d88648d6ce8a9153adbcc7b96f6961bd1f96e959b1893c85552c3da31e85"),
+    ])
+    def test_bounds_table_digest(self, capsys, argv, digest):
+        assert main(argv.split()) == 0  # the table has no --out: that writes JSON
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert json.loads(captured.err)["outputs"] == {"-": digest}
 
     @pytest.mark.parametrize("argv, digest", [
         ("sample 6 5 4 3 3 2 --n 300 --seed 3 --format json",
@@ -258,6 +357,25 @@ class TestBounds:
         assert err["error"] == "DomainError"
         assert "seed" in err["message"]
 
+    @pytest.mark.parametrize("extra", [["--json"], []])
+    def test_bound_that_overflows_a_float_exits_one(self, capsys, extra):
+        assert main(["bounds", "1e308", "7e307"] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert "overflows" in err["message"]
+
+    def test_non_finite_estimate_is_no_json_token(self):
+        # the bounds fit a float, but the Monte Carlo moments overflow to inf
+        proc = subprocess.run([sys.executable, "-m", "wcm.cli", "bounds", "1e154", "3e153",
+                               "--mc", "1000", "--seed", "1", "--json"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "DomainError"
+
     @pytest.mark.parametrize("mc", ["0", "-5"])
     def test_too_few_draws_with_a_seed_names_the_sample_size(self, capsys, mc):
         assert main(["bounds", "5", "1", "1", "--mc", mc, "--seed", "1"]) == 1
@@ -267,24 +385,6 @@ class TestBounds:
 
 
 class TestSixCommand:
-    @pytest.fixture()
-    def price_csv(self, tmp_path):
-        rng = np.random.default_rng(5)
-        n = 60
-        returns = 0.02 * rng.standard_normal((n, 3))
-        returns[:, 2] = returns[:, 1]  # two comoving assets
-        prices = 100 * np.exp(np.vstack([np.zeros(4), np.column_stack(
-            [np.cumsum(returns, axis=0), np.cumsum(0.01 * rng.standard_normal(n))]
-        )]))
-        path = tmp_path / "prices.csv"
-        lines = ["date,AAA,BBB,CCC,IDX"]
-        day = dt.date(2022, 1, 3)
-        for row in prices:
-            lines.append(",".join([day.isoformat()] + [repr(float(v)) for v in row]))
-            day += dt.timedelta(days=1)
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
     def test_csv_output(self, capsys, price_csv):
         code = main(["six", str(price_csv), "--weights", "1", "1", "1",
                      "--window", "20", "--step", "20",
@@ -379,8 +479,12 @@ class TestSixCommand:
         assert message in err["message"]
 
     def test_missing_file(self, capsys, tmp_path):
-        with pytest.raises(OSError):
-            main(["six", str(tmp_path / "nope.csv")])
+        assert main(["six", str(tmp_path / "nope.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "FileNotFoundError"
+        assert "nope.csv" in err["message"]
 
 
 class TestCurve:

@@ -558,15 +558,17 @@ class TestSampleMatrix:
         build_triangle((5, 4, 3), "B"),
     ])
     def test_csv_matches_csv_writer(self, copula, tmp_path):
-        # More rows than one block of CSV text, so the text crosses a block boundary.
-        s = copula.sample(_CSV_BLOCK + 3, seed=5)
-        expected = csv_oracle(s.values)
-        assert s.to_csv_string() == expected
-        buf = io.StringIO()
-        s.to_csv(buf)
-        assert buf.getvalue() == expected
-        s.to_csv(tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+        # One row; whole blocks of CSV text; and a text that crosses a block boundary.
+        for n in (1, 2 * _CSV_BLOCK, _CSV_BLOCK + 3):
+            s = copula.sample(n, seed=5)
+            expected = csv_oracle(s.values)
+            assert s.to_csv_string() == expected
+            assert "".join(s.csv_blocks()) == expected
+            buf = io.StringIO()
+            s.to_csv(buf)
+            assert buf.getvalue() == expected
+            s.to_csv(tmp_path / "s.csv")
+            assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcm.errors import DimensionError, ExistenceError, InvalidWeightError
+from wcm.errors import DimensionError, DomainError, ExistenceError, InvalidWeightError
 from wcm.weights import (
     WeightVector,
     existence_deficit,
@@ -50,6 +50,19 @@ class TestExistence:
 
     def test_equal_quadruple(self):
         assert validate_wcm_existence((1, 1, 1, 1)) is True
+
+    def test_deficit_of_a_weight_above_half_the_float_range(self):
+        # 2.0 * 1e308 overflows, but the deficit itself fits
+        assert existence_deficit((1e308, 7e307)) == pytest.approx(3e307, rel=1e-15)
+        assert existence_deficit((7e307, 1e308)) == existence_deficit((1e308, 7e307))
+
+    @given(st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=2, max_size=6))
+    def test_deficit_is_the_doubled_max_minus_the_sum_bit_for_bit(self, values):
+        w = WeightVector(tuple(values))
+        oracle = 2.0 * w.wmax - w.s1  # as first written; exact here, where 2*max fits
+        assert math.copysign(1.0, existence_deficit(w)) == math.copysign(1.0, oracle)
+        assert existence_deficit(w) == oracle
+        assert (existence_deficit(w) <= 0.0) == validate_wcm_existence(w)
 
     def test_degenerate_boundary_counts_as_existent(self):
         assert validate_wcm_existence((2, 1, 1)) is True
@@ -120,6 +133,15 @@ class TestVarianceBounds:
         assert variance_upper_bound((1, 1, 1)) == pytest.approx(0.75, abs=1e-15)
         assert variance_upper_bound((1, 1)) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert variance_upper_bound((2, 1)) == pytest.approx(0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("bound, values", [
+        (variance_lower_bound, (1e308, 7e307)),
+        (variance_upper_bound, (1e308, 7e307)),
+        (variance_upper_bound, (1e160, 1e160)),
+    ])
+    def test_bound_that_overflows_a_float_is_a_domain_error(self, bound, values):
+        with pytest.raises(DomainError, match="overflows"):
+            bound(values)
 
     @given(weights_strategy)
     def test_order_strict(self, values):
