@@ -58,10 +58,10 @@ def main() -> int:
 
     raw = rolling_six(series, window=args.window, step=args.step,
                       estimator=args.estimator)
-    raw.to_csv(out / "six_raw.csv")
+    (out / "six_raw.csv").write_text(raw.csv_text(), newline="")
     detrended = rolling_six(detrend_by_index(series), window=args.window,
                             step=args.step, estimator=args.estimator)
-    detrended.to_csv(out / "six_detrended.csv")
+    (out / "six_detrended.csv").write_text(detrended.csv_text(), newline="")
 
     first_half = [e.six for e in raw.entries if e.end_date < series.dates[args.n // 2]]
     second_half = [e.six for e in raw.entries if e.end_date >= series.dates[args.n // 2]]

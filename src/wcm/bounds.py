@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -22,6 +22,7 @@ from .weights import (
     WeightVector,
     as_weight_vector,
     shrink_weights,
+    unit_scaled,
     validate_wcm_existence,
     variance_lower_bound,
     variance_upper_bound,
@@ -68,20 +69,8 @@ class VarianceBoundReport:
             raise DomainError(f"bounds out of order: [{self.lower}, {self.upper}]")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "weights": list(self.weights),
-            "lower": self.lower,
-            "upper": self.upper,
-            "attained_by": self.attained_by,
-        }
-        if self.mc is not None:
-            out["mc"] = {
-                "n": self.mc.n,
-                "estimate": self.mc.estimate,
-                "stderr": self.mc.stderr,
-                "seed": self.mc.seed,
-            }
-        return out
+        """The fields as a dict, without ``mc`` when there was no Monte Carlo run."""
+        return {k: v for k, v in asdict(self).items() if k != "mc" or v is not None}
 
 
 def optimal_coupling(w: "WeightVector | Iterable[float]"):
@@ -148,14 +137,17 @@ def mc_variance(
     Draws arrive in batches of ``MC_BATCH`` on independent child streams;
     per-batch central moments are merged in batch order, so the result does
     not depend on the thread count.  The standard error uses the fourth
-    central moment: ``sqrt((m4 - m2^2 (n-3)/(n-1)) / n)``.
+    central moment: ``sqrt((m4 - m2^2 (n-3)/(n-1)) / n)``.  The dots use the
+    ``unit_scaled`` weights and both results are scaled back: every step is
+    exact under a power-of-two scaling, so ordinary weights keep their bits,
+    and the moments of weights such as 1e154 or 1e-154 stay finite and nonzero.
     """
     if n < 2:
         raise DimensionError(f"variance needs n >= 2, got {n}")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    wv = as_weight_vector(w)
-    weights = np.array(wv.values)
+    values, shift = unit_scaled(w)
+    weights = np.array(values)
     sizes = [MC_BATCH] * (n // MC_BATCH)
     if n % MC_BATCH:
         sizes.append(n % MC_BATCH)
@@ -174,7 +166,7 @@ def mc_variance(
     m2 = m2_sum / total
     m4 = m4_sum / total
     se = math.sqrt(max(0.0, m4 - m2 * m2 * (total - 3) / (total - 1)) / total)
-    return estimate, se
+    return math.ldexp(estimate, -2 * shift), math.ldexp(se, -2 * shift)
 
 
 def variance_bound_report(

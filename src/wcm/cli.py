@@ -5,15 +5,16 @@ Subcommands: ``validate``, ``construct``, ``sample``, ``cdf``, ``bounds``,
 command that consumes randomness either receives an explicit ``--seed`` or
 has one generated and recorded, and each run emits a manifest (command,
 arguments, seed, version, output digests) so outputs can be reproduced
-byte-for-byte.  Exit codes: 0 success, 1 domain error or ``OSError`` (JSON on
-stderr), 2 usage error.
+byte-for-byte.  Results only render text or JSON-ready dicts; the two writers
+here, ``_emit_json`` and ``_write_with_manifest``, open every output file and
+attach every manifest.  Exit codes: 0 success, 1 domain error or ``OSError``
+(JSON on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
 import secrets
@@ -54,32 +55,36 @@ def _dumps(payload: dict, **kwargs) -> str:
         raise DomainError(f"output holds a non-finite float: {exc}") from None
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
+def _emit_json(payload: dict, args, seed: int | None = None, **counts: int) -> None:
+    """Write ``payload`` with its manifest as JSON to ``--out`` or stdout."""
+    payload["manifest"] = _manifest(args, seed, {}, **counts)
     text = _dumps(payload, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _write_with_manifest(
-    blocks: Iterable[str], out_path: str | None, args, seed: int | None, **counts: int
+    blocks: Iterable[str], args, seed: int | None = None, **counts: int
 ) -> None:
-    """Write tabular output plus a sidecar manifest (stderr when streaming).
+    """Write tabular output to ``--out`` plus a sidecar manifest, or to stdout
+    with the manifest on stderr.
 
     Each block of text is encoded once, written and fed to one sha256, so only
     one block is held at a time and the digest is of the bytes written.
     """
     digest = hashlib.sha256()
-    if out_path:
-        with open(out_path, "wb") as fh:
+    if args.out:
+        with open(args.out, "wb") as fh:
             for block in blocks:
                 data = block.encode()
                 fh.write(data)
                 digest.update(data)
-        manifest = _manifest(args, seed, {out_path: digest.hexdigest()}, **counts)
-        _emit_json(manifest, out_path + ".manifest.json")
+        manifest = _manifest(args, seed, {args.out: digest.hexdigest()}, **counts)
+        with open(args.out + ".manifest.json", "w") as fh:
+            fh.write(_dumps(manifest, indent=2) + "\n")
     else:
         for block in blocks:
             sys.stdout.write(block)
@@ -97,13 +102,11 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args) -> int:
     wv = as_weight_vector(args.weights)
-    payload = {
+    _emit_json({
         "weights": list(wv.values),
         "exists": validate_wcm_existence(wv),
         "deficit": existence_deficit(wv),
-        "manifest": _manifest(args, None, {}),
-    }
-    _emit_json(payload, args.out)
+    }, args)
     return 0
 
 
@@ -111,9 +114,7 @@ def _cmd_construct(args) -> int:
     if len(args.weights) != 3:
         raise DomainError("construct needs exactly 3 weights (triangle construction)")
     copula = build_triangle(args.weights, variant=args.variant)
-    payload = copula.to_dict()
-    payload["manifest"] = _manifest(args, None, {})
-    _emit_json(payload, args.out)
+    _emit_json(copula.to_dict(), args)
     return 0
 
 
@@ -131,12 +132,9 @@ def _cmd_sample(args) -> int:
     copula = _build_for_sampling(args.weights, args.variant)
     matrix = copula.sample(args.n, seed)
     if args.format == "json":
-        payload = matrix.to_json_dict()
-        payload["rows"] = matrix.values.tolist()
-        payload["manifest"] = _manifest(args, seed, {})
-        _emit_json(payload, args.out)
+        _emit_json({**matrix.to_json_dict(), "rows": matrix.values.tolist()}, args, seed)
     else:
-        _write_with_manifest(matrix.csv_blocks(), args.out, args, seed)
+        _write_with_manifest(matrix.csv_blocks(), args, seed)
     return 0
 
 
@@ -148,14 +146,12 @@ def _cmd_cdf(args) -> int:
         )
     copula = build_triangle(values[:3], variant=args.variant)
     point = values[3:]
-    payload = {
+    _emit_json({
         "weights": values[:3],
         "variant": args.variant,
         "u": point,
         "cdf": copula.cdf(point),
-        "manifest": _manifest(args, None, {}),
-    }
-    _emit_json(payload, args.out)
+    }, args)
     return 0
 
 
@@ -165,9 +161,7 @@ def _cmd_bounds(args) -> int:
         args.weights, mc_n=args.mc, seed=seed, threads=args.threads
     )
     if args.json or args.out:
-        payload = report.to_json_dict()
-        payload["manifest"] = _manifest(args, seed, {})
-        _emit_json(payload, args.out)
+        _emit_json(report.to_json_dict(), args, seed)
     else:
         rows = [
             ("weights", " ".join(repr(v) for v in report.weights)),
@@ -183,7 +177,7 @@ def _cmd_bounds(args) -> int:
             ]
         width = max(len(k) for k, _ in rows)
         table = "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
-        _write_with_manifest([table], None, args, seed)
+        _write_with_manifest([table], args, seed)
     return 0
 
 
@@ -206,13 +200,9 @@ def _cmd_six(args) -> int:
         "windows_skipped": len(rolling.skipped),
     }
     if args.json:
-        payload = rolling.to_json_dict()
-        payload["manifest"] = _manifest(args, None, {}, **counts)
-        _emit_json(payload, args.out)
+        _emit_json(rolling.to_json_dict(), args, **counts)
     else:
-        buf = io.StringIO()
-        rolling.to_csv(buf)
-        _write_with_manifest([buf.getvalue()], args.out, args, None, **counts)
+        _write_with_manifest([rolling.csv_text()], args, **counts)
     return 0
 
 
@@ -232,7 +222,7 @@ def _cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     curve = rhix_degeneracy_curve(args.rho, grid)
     lines = ["sigma,rhix"] + [f"{s!r},{v!r}" for s, v in curve]
-    _write_with_manifest(["\n".join(lines) + "\n"], args.out, args, None)
+    _write_with_manifest(["\n".join(lines) + "\n"], args)
     return 0
 
 

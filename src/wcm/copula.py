@@ -118,14 +118,6 @@ class SampleMatrix:
         meta.update(self.meta)
         return meta
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write one observation per row with header ``u1,...,ud``."""
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.writelines(self.csv_blocks())
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                fh.writelines(self.csv_blocks())
-
     def to_csv_string(self) -> str:
         return "".join(self.csv_blocks())
 

@@ -218,8 +218,6 @@ def rolling_windows(n: int, window: int, step: int) -> list[tuple[int, int]]:
 class WindowSix:
     end_date: dt.date
     six: float
-    estimator: str
-    n_window: int
     n_pairs: int
     within_bounds: bool
 
@@ -240,20 +238,12 @@ class RollingSixSeries:
     pairs_dropped: int = 0
     load_report: LoadReport | None = None
 
-    def to_csv(self, path_or_buf) -> None:
-        if hasattr(path_or_buf, "write"):
-            self._write_csv(path_or_buf)
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["end_date", "six", "estimator", "n_window"])
-        for entry in self.entries:
-            writer.writerow(
-                [entry.end_date.isoformat(), repr(entry.six), entry.estimator, entry.n_window]
-            )
+    def csv_text(self) -> str:
+        """Header ``end_date,six,estimator,n_window`` and one row per window.  No
+        field needs quoting, so this is the text ``csv.writer`` would write."""
+        tail = f",{self.estimator},{self.window}\n"
+        return "end_date,six,estimator,n_window\n" + "".join(
+            f"{e.end_date.isoformat()},{e.six!r}{tail}" for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,8 +255,8 @@ class RollingSixSeries:
                 {
                     "end_date": e.end_date.isoformat(),
                     "six": e.six,
-                    "estimator": e.estimator,
-                    "n_window": e.n_window,
+                    "estimator": self.estimator,
+                    "n_window": self.window,
                     "n_pairs": e.n_pairs,
                     "within_bounds": e.within_bounds,
                 }
@@ -370,16 +360,7 @@ def rolling_six(
         if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))
             continue
-        entries.append(
-            WindowSix(
-                end_date=end_date,
-                six=value,
-                estimator=estimator,
-                n_window=len(block),
-                n_pairs=n_pairs,
-                within_bounds=within,
-            )
-        )
+        entries.append(WindowSix(end_date, value, n_pairs, within))
     return RollingSixSeries(
         weights=wv.values,
         window=window,

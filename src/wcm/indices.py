@@ -23,7 +23,7 @@ import numpy as np
 
 from .copula import SampleMatrix, sample_values
 from .errors import DegenerateDataError, DimensionError, DomainError, ModelError
-from .weights import WeightVector, as_weight_vector, variance_lower_bound
+from .weights import WeightVector, as_weight_vector, unit_scaled, variance_lower_bound
 
 __all__ = [
     "SixReport",
@@ -166,39 +166,19 @@ class SixReport:
     n: int | None
     within_bounds: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weights": list(self.weights),
-            "six": self.six,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "pair_weights": {f"{i},{j}": p for (i, j), p in self.pair_weights},
-            "n": self.n,
-            "within_bounds": self.within_bounds,
-        }
-
-
-def _unit_scaled(w: "WeightVector | Iterable[float]") -> WeightVector:
-    """``w`` times the power of two that puts its largest entry in [1/2, 1):
-    exact, and SIX and its bounds do not change, but ``w_i w_j`` and ``S1^2``
-    neither underflow nor overflow for weights such as 1e-200 or 1e200."""
-    wv = as_weight_vector(w)
-    shift = -math.frexp(wv.wmax)[1]
-    return WeightVector(tuple(math.ldexp(v, shift) for v in wv.values))
-
 
 def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     """Sharp SIX range ``((12*l(w) - S2) / (S1^2 - S2), 1)``."""
-    wv = _unit_scaled(w)
+    wv = as_weight_vector(unit_scaled(w)[0])
     lower = (12.0 * variance_lower_bound(wv) - wv.s2) / (wv.s1 * wv.s1 - wv.s2)
     return lower, 1.0
 
 
 def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
     """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
-    a ``d x d`` matrix, NaN on and below the diagonal, with ``w`` scaled as in
-    ``_unit_scaled``."""
-    v = np.array(_unit_scaled(w).values)
+    a ``d x d`` matrix, NaN on and below the diagonal, with ``w`` scaled by
+    ``unit_scaled``."""
+    v = np.array(unit_scaled(w)[0])
     return np.where(np.tri(len(v), dtype=bool), np.nan, np.outer(v, v))
 
 
@@ -327,9 +307,9 @@ def _covariance_ratio(
     """``sum w_i w_j Cov[X_i, X_j] / sum w_i w_j Cov^c[X_i, X_j]`` over the
     lognormal prices, where ``Cov^c`` keeps the marginals and sets every copula
     correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``.
-    The weights are scaled as in ``_unit_scaled``, which leaves the ratio as it
+    The weights are scaled by ``unit_scaled``, which leaves the ratio as it
     is but keeps ``w_i w_j`` from underflowing or overflowing."""
-    wv = _unit_scaled(w)
+    wv = as_weight_vector(unit_scaled(w)[0])
     if wv.d != model.d:
         raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
     mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas

@@ -25,6 +25,7 @@ __all__ = [
     "variance_lower_bound",
     "variance_upper_bound",
     "partition_weights",
+    "unit_scaled",
     "CONSTRUCTION_TOL",
 ]
 
@@ -100,6 +101,17 @@ def existence_deficit(w: "WeightVector | Iterable[float]") -> float:
     ``2.0 * max(w)``, which overflows above half the float range."""
     w = as_weight_vector(w)
     return math.fsum((w.wmax, -w.s1, w.wmax))
+
+
+def unit_scaled(w: "WeightVector | Iterable[float]") -> tuple[tuple[float, ...], int]:
+    """``(w * 2**shift, shift)`` for the ``shift`` that puts the largest weight
+    in [1/2, 1).  The scaling is exact unless a weight falls below the normal
+    floats (under ``2**-1021`` times the largest), so ratios such as SIX do not
+    change, while products such as ``w_i w_j`` or ``(w . u)^4`` neither
+    underflow nor overflow for weights such as 1e-200 or 1e200."""
+    wv = as_weight_vector(w)
+    shift = -math.frexp(wv.wmax)[1]
+    return tuple(math.ldexp(v, shift) for v in wv.values), shift
 
 
 def shrink_weights(w: "WeightVector | Iterable[float]") -> WeightVector:

@@ -3,7 +3,8 @@ Gaussian copula among them), the brute-force rank-correlation oracle, the
 per-pair loops and the pairs-tuple SIX average that the matrix kernels of
 ``wcm.indices`` replaced, and the least-squares variant-B construction that
 the closed form of ``wcm.copula`` replaced, and the row-wise sample draw,
-gather and CSV writer that its column-wise path replaced, kept as oracles."""
+gather and CSV writer that its column-wise path replaced, and the Monte Carlo
+variance on unscaled weights, kept as oracles."""
 
 from __future__ import annotations
 
@@ -11,13 +12,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
-from wcm.copula import SampleMatrix, make_rng
+from wcm.bounds import MC_BATCH, _batch_moments, _combine, _draw_dots
+from wcm.copula import SampleMatrix, make_rng, spawn_rngs
 from wcm.errors import DegenerateDataError, DomainError, MassNormalizationError
+from wcm.weights import as_weight_vector
 
 
 def ks_uniform_statistic(x: np.ndarray) -> float:
@@ -266,3 +270,18 @@ def csv_oracle(values: np.ndarray) -> str:
     for row in values:
         writer.writerow([repr(float(x)) for x in row])
     return buf.getvalue()
+
+
+def mc_variance_unscaled_oracle(sampler, w, n: int, seed: int) -> tuple[float, float]:
+    """``wcm.bounds.mc_variance`` as it was before it scaled the weights by a
+    power of two: the same batches, streams and moment merge on one thread,
+    with the dots taken on the weights as given."""
+    weights = np.array(as_weight_vector(w).values)
+    sizes = [MC_BATCH] * (n // MC_BATCH) + ([n % MC_BATCH] if n % MC_BATCH else [])
+    parts = [_batch_moments(_draw_dots(sampler, weights, size, rng))
+             for size, rng in zip(sizes, spawn_rngs(seed, len(sizes)))]
+    total, _, m2_sum, _, m4_sum = reduce(_combine, parts)
+    m2 = m2_sum / total
+    m4 = m4_sum / total
+    se = math.sqrt(max(0.0, m4 - m2 * m2 * (total - 3) / (total - 1)) / total)
+    return m2_sum / (total - 1), se

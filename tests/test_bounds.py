@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ColumnPermutedSampler, MixtureSampler
+from helpers import ColumnPermutedSampler, MixtureSampler, mc_variance_unscaled_oracle
 from wcm.bounds import (
+    MC_BATCH,
     covariance_identity_check,
     lemma_m_check,
     mc_variance,
@@ -91,6 +94,23 @@ class TestMcVariance:
     def test_needs_a_thread(self, threads):
         with pytest.raises(DomainError, match="threads"):
             mc_variance(IndependenceCopula(2), (1, 1), 10, seed=1, threads=threads)
+
+    @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=5), st.integers(-40, 40),
+           st.one_of(st.integers(2, 3000), st.just(MC_BATCH + 3)), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_weights_give_the_unscaled_bits(self, base, exponent, n, seed):
+        # every step commutes with a power-of-two scaling while nothing under- or overflows
+        w = [v * 10.0**exponent for v in base]
+        coupling, _ = optimal_coupling(w)
+        got = mc_variance(coupling, w, n, seed)
+        want = mc_variance_unscaled_oracle(coupling, w, n, seed)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("w", [(4.0, 1e-323), (1e10, 3.0, 1e-314)])
+    def test_weight_that_scales_below_the_normal_floats(self, w):
+        # the tiny weight scales to 0.0 or a subnormal, which the dot takes as it is
+        coupling, _ = optimal_coupling(w)
+        assert mc_variance(coupling, w, 500, 7) == mc_variance_unscaled_oracle(coupling, w, 500, 7)
 
     @pytest.mark.parametrize("w", [(5, 1, 1), (4, 1, 1), (7, 2, 2), (2, 1), (1, 1, 1)])
     def test_coupling_within_five_se_of_bound(self, w):

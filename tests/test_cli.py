@@ -1,8 +1,10 @@
 """Command-line surface: JSON outputs, exit codes, manifests, determinism."""
 
+import ast
 import datetime as dt
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -12,13 +14,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wcm.cli import main
+from wcm.cli import _dumps, main
+from wcm.errors import DomainError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "wcm"
 
 
 def run_json(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, json.loads(captured.out)
+
+
+def json_digest(payload):
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, indent=2).encode()).hexdigest()
 
 
 def assert_written(capsys, tmp_path, argv, digest):
@@ -34,6 +43,9 @@ def assert_written(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
     assert manifest["outputs"] == {str(out): digest}
+
+
+SIX_COUNTS = {"rows_read": 61, "rows_dropped": 0, "pairs_dropped": 0, "windows_skipped": 0}
 
 
 @pytest.fixture()
@@ -286,6 +298,45 @@ class TestGoldenOutputs:
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
         assert json.loads(captured.err)["outputs"] == {"-": digest}
 
+    @pytest.mark.parametrize("argv, digest, manifest", [
+        ("validate 5 4 3", "43fbe6f564583fe4c66a8d2e76266a167f748c0387b43ddc594f6284db68c8ab", {}),
+        ("construct 5 4 3 --variant B",
+         "f48f1c1da9bd3f157fb2d3b6fb0d73b01a3ccd595a24879521c052ef407caf3d", {}),
+        ("cdf 5 4 3 -- 1 0.25 0.333",
+         "6e7e0fdb8213ded0de14fa1a4b7d1932cfe90fea6661d3d22c8c1af9d505a62f", {}),
+        ("bounds 5 1 1 --json", "868d47d96b5a461203f328d82a246a7e121e3b499b5ec17087af51c880895e31",
+         {}),
+        ("bounds 5 1 1 --mc 1000 --seed 1 --json",
+         "5b054898a38f241333f52237625928ff56cadc3e708dec94e2180516351f956b",
+         {"seed": 1, "generator": "pcg64"}),
+        ("six PRICES --window 20 --step 5 --json",
+         "acd8df0b444b15aa89df9c4ebd21409c5a3e312a53b3da1c6bc536113f068a42", SIX_COUNTS),
+        ("six PRICES --window 20 --step 5 --estimator lognormal --index-column IDX "
+         "--detrend --json",
+         "c55e6b1fa0c74efcd010f6add9ac81a96f5700ea38b119c9ea3aaa58180da18b", SIX_COUNTS),
+    ])
+    def test_json_digest(self, capsys, tmp_path, price_csv, argv, digest, manifest):
+        # recorded before the writers moved into ``wcm.cli``; the manifest, which
+        # carries the package version and the paths, is checked field by field
+        argv = argv.replace("PRICES", str(price_csv)).split()
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        written = payload.pop("manifest")
+        assert json_digest(payload) == digest
+        expected = {"command": argv[0], "seed": None, "generator": None, "outputs": {}, **manifest}
+        assert {k: written[k] for k in expected} == expected
+        assert set(written) == {*expected, "argv", "version"}
+        if argv[0] in ("six", "bounds"):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            # stdout's bytes, but for the argv that the manifest records
+            payload["manifest"] = dict(written, argv=argv + ["--out", str(out)])
+            assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert not (tmp_path / "out.json.manifest.json").exists()
+
     @pytest.mark.parametrize("argv, digest", [
         ("sample 6 5 4 3 3 2 --n 300 --seed 3 --format json",
          "a23a535c47fe8d324c6718866d8b5076c92d0dc06c9b75dd8ae7eb53120581b7"),
@@ -295,8 +346,7 @@ class TestGoldenOutputs:
     def test_sample_json_digest(self, capsys, argv, digest):
         _, payload = run_json(capsys, argv.split())
         del payload["manifest"]  # carries the package version
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert json_digest(payload) == digest
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mc_estimate(self, capsys, threads):
@@ -367,14 +417,25 @@ class TestBounds:
         assert "overflows" in err["message"]
 
     def test_non_finite_estimate_is_no_json_token(self):
-        # the bounds fit a float, but the Monte Carlo moments overflow to inf
-        proc = subprocess.run([sys.executable, "-m", "wcm.cli", "bounds", "1e154", "3e153",
-                               "--mc", "1000", "--seed", "1", "--json"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "DomainError"
+        # JSON has no token for inf or nan, so every writer refuses to emit one
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="non-finite"):
+                _dumps({"mc": {"estimate": value, "stderr": 0.0}})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weights", [["1e154", "3e153"], ["1e-154", "3e-155"]])
+    def test_mc_moments_of_huge_or_tiny_weights_stay_finite(self, capsys, weights):
+        # unscaled, the fourth moment overflows (1e154) or underflows (1e-154)
+        argv = ["bounds", *weights, "--mc", "1000", "--seed", "1"]
+        code, payload = run_json(capsys, argv + ["--json"])
+        assert code == 0
+        mc = payload["mc"]
+        assert 0.0 < mc["stderr"] < mc["estimate"] < math.inf
+        assert abs(mc["estimate"] - payload["lower"]) < 5 * mc["stderr"]
+        assert main(argv) == 0
+        rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert float(rows["mc estimate"]) == mc["estimate"]
+        assert float(rows["mc stderr"]) == mc["stderr"]
 
     @pytest.mark.parametrize("mc", ["0", "-5"])
     def test_too_few_draws_with_a_seed_names_the_sample_size(self, capsys, mc):
@@ -550,3 +611,38 @@ def test_bench_hook_targets_define_what_the_bench_patches(monkeypatch, workload)
 
     for hook in worker._hooks(workload):
         assert hook.attr in vars(spans._resolve(hook.target)), (hook.target, hook.attr)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """``open`` with a mode that may write, or ``Path.write_text``/``write_bytes``."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False  # "r"
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def _calls(node: ast.AST, scope: str = "<module>"):
+    """Every call under ``node`` with the name of the function (or class) that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _calls(child, child.name if named else scope)
+
+
+def test_only_the_cli_writers_write_files_or_attach_manifests():
+    # results render text or dicts; turning them into bytes and a manifest is
+    # decided in one place
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, call in _calls(ast.parse(path.read_text()))
+        if _writes_a_file(call) or getattr(call.func, "id", None) == "_manifest"
+    }
+    assert found == {("cli.py", "_emit_json"), ("cli.py", "_write_with_manifest")}

@@ -1,7 +1,6 @@
 """Price ingestion, detrending, log returns, and rolling-window SIX."""
 
 import datetime as dt
-import io
 import math
 import tempfile
 from pathlib import Path
@@ -267,7 +266,7 @@ class TestRollingSix:
         returns_len = series.n - 1
         assert len(rolling.entries) == (returns_len - 10) // 5 + 1
         assert rolling.entries[0].end_date == series.dates[10]
-        assert rolling.entries[0].n_window == 10
+        assert rolling.to_json_dict()["entries"][0]["n_window"] == 10
 
     def test_weight_dimension_check(self):
         series = series_from_returns(gaussian_returns(40, np.eye(2), seed=25))
@@ -349,11 +348,10 @@ class TestRollingSix:
     def test_csv_and_json_output(self):
         series = series_from_returns(gaussian_returns(40, np.eye(2), seed=29))
         rolling = rolling_six(series, window=10, step=10)
-        buf = io.StringIO()
-        rolling.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = rolling.csv_text().strip().split("\n")
         assert lines[0] == "end_date,six,estimator,n_window"
         assert len(lines) == 1 + len(rolling.entries)
+        assert lines[1] == f"{rolling.entries[0].end_date},{rolling.entries[0].six!r},rank,10"
         payload = rolling.to_json_dict()
         assert payload["window"] == 10
         assert payload["estimator"] == "rank"

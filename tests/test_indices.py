@@ -129,15 +129,6 @@ class TestSix:
         with pytest.raises(DegenerateDataError):
             six(data, (1, 1, 1))
 
-    def test_report_serialization(self):
-        import json
-
-        report = six(IndependenceCopula(3).sample(100, seed=9), (5, 4, 3))
-        payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["weights"] == [5.0, 4.0, 3.0]
-        assert payload["n"] == 100
-        assert set(payload["pair_weights"]) == {"0,1", "0,2", "1,2"}
-
 
 class TestSixBounds:
     def test_equal_triple(self):

@@ -1,4 +1,5 @@
-"""The example scripts run end to end and write the CSV headers they document."""
+"""The example scripts run end to end and write the CSV headers they document;
+the rolling SIX demo writes the bytes ``wcm six`` prints for its prices."""
 
 import os
 import subprocess
@@ -9,11 +10,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SIX_HEADER = "end_date,six,estimator,n_window"
 
 
-def run_script(name, *args):
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
 
 
 def header(path):
@@ -27,6 +32,12 @@ def test_rolling_six_demo(tmp_path):
     assert header(tmp_path / "prices.csv") == "date,AAA,BBB,CCC,INDEX"
     assert header(tmp_path / "six_raw.csv") == SIX_HEADER
     assert header(tmp_path / "six_detrended.csv") == SIX_HEADER
+    argv = [sys.executable, "-m", "wcm.cli", "six", str(tmp_path / "prices.csv"),
+            "--window", "84", "--step", "5", "--index-column", "INDEX"]
+    for name, extra in (("six_raw.csv", []), ("six_detrended.csv", ["--detrend"])):
+        cli = subprocess.run(argv + extra, capture_output=True, env=src_env(), timeout=120)
+        assert cli.returncode == 0, cli.stderr
+        assert (tmp_path / name).read_bytes() == cli.stdout, name
 
 
 def test_rhix_vs_six_sweep(tmp_path):
