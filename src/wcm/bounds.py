@@ -95,11 +95,15 @@ def _draw_dots(sampler: Sampler, weights: np.ndarray, n: int, rng: np.random.Gen
 
 
 def _batch_moments(x: np.ndarray) -> tuple[int, float, float, float, float]:
+    """``(n, mean, M2, M3, M4)`` of one batch; the cube and the fourth power
+    overwrite the deviations and their squares once each is summed."""
     n = len(x)
     mean = float(x.mean())
     d = x - mean
     d2 = d * d
-    return n, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum())
+    m2 = float(d2.sum())
+    m3 = float(np.multiply(d, d2, out=d).sum())
+    return n, mean, m2, m3, float(np.multiply(d2, d2, out=d2).sum())
 
 
 def _combine(a, b):

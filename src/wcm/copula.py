@@ -286,16 +286,28 @@ class TriangleCopula:
         """``n`` draws as a C-order ``(n, len(cols))`` matrix whose column ``i``
         is coordinate ``cols[i]``: all uniforms first, then the coordinates
         ``_DRAW_BLOCK`` rows at a time.  Each step is elementwise, so the bits
-        do not depend on the block size."""
+        do not depend on the block size.
+
+        With no cumulative mass inside (0, 1), all mass sits on one edge and
+        ``u >= cum[k]`` is the same for every ``u`` in [0, 1): the edge uniforms
+        are skipped with ``advance(n)``, as each PCG64 double is one 64-bit
+        step, so ``t`` and the bits stay those of the full draw."""
         cum = np.cumsum(self.masses)
-        u = rng.random(n)
+        fixed = not ((cum[:2] > 0.0) & (cum[:2] < 1.0)).any()
+        if fixed:
+            rng.bit_generator.advance(n)
+            edge = int((cum[:2] <= 0.0).sum())
+        else:
+            u = rng.random(n)
         t = rng.random(n)
         start, end = (np.array([self.vertices[e[side]] for e in _EDGES]).T for side in (0, 1))
         out = np.empty((n, len(cols)))
         for lo in range(0, n, _DRAW_BLOCK):
-            ub, tb = u[lo:lo + _DRAW_BLOCK], t[lo:lo + _DRAW_BLOCK]
-            # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
-            edge = np.add(ub >= cum[0], ub >= cum[1], dtype=np.intp)
+            tb = t[lo:lo + _DRAW_BLOCK]
+            if not fixed:
+                ub = u[lo:lo + _DRAW_BLOCK]
+                # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
+                edge = np.add(ub >= cum[0], ub >= cum[1], dtype=np.intp)
             sb = 1.0 - tb
             coords = [tb * a.take(edge) + sb * b.take(edge) for a, b in zip(start, end)]
             block = out[lo:lo + _DRAW_BLOCK]

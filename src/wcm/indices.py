@@ -22,8 +22,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .copula import SampleMatrix, sample_values
-from .errors import DegenerateDataError, DimensionError, DomainError, ModelError
-from .weights import WeightVector, as_weight_vector, unit_scaled, variance_lower_bound
+from .errors import (
+    DegenerateDataError,
+    DimensionError,
+    DomainError,
+    InvalidWeightError,
+    ModelError,
+)
+from .weights import WeightVector, as_weight_vector, unit_scaled
 
 __all__ = [
     "SixReport",
@@ -167,18 +173,37 @@ class SixReport:
     within_bounds: bool
 
 
+def _scaled_weights(w: "WeightVector | Iterable[float]") -> tuple[float, ...]:
+    """The ``unit_scaled`` weights.  A weight that scales to 0.0, as when the
+    ratio of the weights exceeds the float range, is an
+    :class:`InvalidWeightError` naming the weights as given."""
+    wv = as_weight_vector(w)
+    scaled = unit_scaled(wv)[0]
+    if min(scaled) == 0.0:
+        raise InvalidWeightError(
+            f"the ratio of the largest to the smallest of the weights {wv.values} "
+            "exceeds the float range")
+    return scaled
+
+
 def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
-    """Sharp SIX range ``((12*l(w) - S2) / (S1^2 - S2), 1)``."""
-    wv = as_weight_vector(unit_scaled(w)[0])
-    lower = (12.0 * variance_lower_bound(wv) - wv.s2) / (wv.s1 * wv.s1 - wv.s2)
-    return lower, 1.0
+    """Sharp SIX range ``((12*l(w) - S2) / (S1^2 - S2), 1)``.  The lower end is
+    one correctly rounded division of integers: the weights are integers times
+    one power of two, which cancels.  In floats ``S1^2 - S2`` cancels to 0.0
+    when one weight dwarfs the others."""
+    ratios = [v.as_integer_ratio() for v in _scaled_weights(w)]
+    scale = max(den for _, den in ratios)  # every denominator is a power of two
+    k = [num * (scale // den) for num, den in ratios]
+    s1, s2 = sum(k), sum(x * x for x in k)
+    excess = max(0, 2 * max(k) - s1)
+    return (excess * excess - s2) / (s1 * s1 - s2), 1.0
 
 
 def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
     """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
     a ``d x d`` matrix, NaN on and below the diagonal, with ``w`` scaled by
     ``unit_scaled``."""
-    v = np.array(unit_scaled(w)[0])
+    v = np.array(_scaled_weights(w))
     return np.where(np.tri(len(v), dtype=bool), np.nan, np.outer(v, v))
 
 
@@ -309,7 +334,7 @@ def _covariance_ratio(
     correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``.
     The weights are scaled by ``unit_scaled``, which leaves the ratio as it
     is but keeps ``w_i w_j`` from underflowing or overflowing."""
-    wv = as_weight_vector(unit_scaled(w)[0])
+    wv = WeightVector(_scaled_weights(w))
     if wv.d != model.d:
         raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
     mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas

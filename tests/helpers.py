@@ -4,7 +4,8 @@ per-pair loops and the pairs-tuple SIX average that the matrix kernels of
 ``wcm.indices`` replaced, and the least-squares variant-B construction that
 the closed form of ``wcm.copula`` replaced, and the row-wise sample draw,
 gather and CSV writer that its column-wise path replaced, and the Monte Carlo
-variance on unscaled weights, kept as oracles."""
+variance on unscaled weights and the batch moments with fresh temporaries,
+kept as oracles."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
-from wcm.bounds import MC_BATCH, _batch_moments, _combine, _draw_dots
+from wcm.bounds import MC_BATCH, _combine, _draw_dots
 from wcm.copula import SampleMatrix, make_rng, spawn_rngs
 from wcm.errors import DegenerateDataError, DomainError, MassNormalizationError
 from wcm.weights import as_weight_vector
@@ -278,10 +279,20 @@ def mc_variance_unscaled_oracle(sampler, w, n: int, seed: int) -> tuple[float, f
     with the dots taken on the weights as given."""
     weights = np.array(as_weight_vector(w).values)
     sizes = [MC_BATCH] * (n // MC_BATCH) + ([n % MC_BATCH] if n % MC_BATCH else [])
-    parts = [_batch_moments(_draw_dots(sampler, weights, size, rng))
+    parts = [batch_moments_oracle(_draw_dots(sampler, weights, size, rng))
              for size, rng in zip(sizes, spawn_rngs(seed, len(sizes)))]
     total, _, m2_sum, _, m4_sum = reduce(_combine, parts)
     m2 = m2_sum / total
     m4 = m4_sum / total
     se = math.sqrt(max(0.0, m4 - m2 * m2 * (total - 3) / (total - 1)) / total)
     return m2_sum / (total - 1), se
+
+
+def batch_moments_oracle(x: np.ndarray) -> tuple[int, float, float, float, float]:
+    """``wcm.bounds._batch_moments`` as first written: a fresh array for each
+    power of the deviations."""
+    n = len(x)
+    mean = float(x.mean())
+    d = x - mean
+    d2 = d * d
+    return n, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum())

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ColumnPermutedSampler, MixtureSampler, mc_variance_unscaled_oracle
+from helpers import (
+    ColumnPermutedSampler,
+    MixtureSampler,
+    batch_moments_oracle,
+    mc_variance_unscaled_oracle,
+)
 from wcm.bounds import (
     MC_BATCH,
+    _batch_moments,
+    _draw_dots,
     covariance_identity_check,
     lemma_m_check,
     mc_variance,
@@ -23,6 +30,7 @@ from wcm.copula import (
     GroupedWCMCopula,
     IndependenceCopula,
     build_grouped_wcm,
+    make_rng,
 )
 from wcm.errors import DimensionError, DomainError
 from wcm.weights import variance_lower_bound
@@ -111,6 +119,21 @@ class TestMcVariance:
         # the tiny weight scales to 0.0 or a subnormal, which the dot takes as it is
         coupling, _ = optimal_coupling(w)
         assert mc_variance(coupling, w, 500, 7) == mc_variance_unscaled_oracle(coupling, w, 500, 7)
+
+    @given(st.one_of(st.integers(1, 3000), st.just(MC_BATCH)), st.floats(-1e3, 1e3),
+           st.integers(-60, 60), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_moments_give_the_oracle_bits(self, n, offset, exponent, seed):
+        # the powers of the deviations overwrite their buffers; the products are the same
+        x = offset + math.ldexp(1.0, exponent) * make_rng(seed).standard_normal(n)
+        assert [float(v).hex() for v in _batch_moments(x)] == \
+            [float(v).hex() for v in batch_moments_oracle(x)]
+
+    @pytest.mark.parametrize("w", [(5, 1, 1), (5, 4, 3), (10, 2, 3, 1)])
+    def test_batch_moments_of_coupling_dots_give_the_oracle_bits(self, w):
+        dots = _draw_dots(optimal_coupling(w)[0], np.array(w, float), MC_BATCH, make_rng(3))
+        assert [float(v).hex() for v in _batch_moments(dots)] == \
+            [float(v).hex() for v in batch_moments_oracle(dots)]
 
     @pytest.mark.parametrize("w", [(5, 1, 1), (4, 1, 1), (7, 2, 2), (2, 1), (1, 1, 1)])
     def test_coupling_within_five_se_of_bound(self, w):

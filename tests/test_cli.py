@@ -512,6 +512,23 @@ class TestSixCommand:
             assert entries(scale) == [(pytest.approx(v, abs=1e-15), w) for v, w in base]
         assert main(argv + ["1e-200"] * 3) == 0
 
+    def test_weights_whose_ratio_exceeds_the_float_range_exit_one(self, capsys, tmp_path,
+                                                                   price_csv):
+        pair = tmp_path / "pair.csv"
+        pair.write_text("".join(",".join(line.split(",")[:3]) + "\n"
+                                for line in price_csv.read_text().splitlines()))
+        argv = ["six", str(pair), "--window", "20", "--step", "20", "--json", "--weights", "4"]
+        assert main(argv + ["1e-323"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidWeightError"
+        assert "(4.0, 1e-323)" in err["message"] and "float range" in err["message"]
+        # a ratio the floats hold: the bounds of two weights are [-1, 1]
+        code, payload = run_json(capsys, argv + ["1e-300"])
+        assert code == 0
+        assert [e["within_bounds"] for e in payload["entries"]] == [True] * 3
+
     @pytest.mark.parametrize("header, extra", [
         ("date,AAA", []),
         ("date,AAA,IDX", ["--index-column", "IDX"]),

@@ -18,7 +18,7 @@ from helpers import (
     triangle_draw_oracle,
     variant_b_oracle,
 )
-from wcm.bounds import MC_BATCH
+from wcm.bounds import MC_BATCH, optimal_coupling
 from wcm.copula import (
     _CSV_BLOCK,
     _DRAW_BLOCK,
@@ -54,6 +54,23 @@ draw_sizes = st.one_of(
     st.integers(min_value=1, max_value=3000),
     st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3, MC_BATCH]),
 )
+# Copulas whose triangle puts all its mass on one edge, on each of the three
+# edges between them: both variants of the degenerate triples, and the optimal
+# couplings of weights with an oversized one.
+FIXED_EDGE_CASES = ([(w, v) for w in [(2, 1, 1), (1, 2, 1), (1, 1, 2)] for v in "AB"]
+                    + [(w, "optimal") for w in [(5, 1, 1), (10, 2, 3, 1), (30, 1, 1, 1, 1)]])
+
+
+def fixed_edge_draw(case):
+    """``(copula, triangle, cols)`` of a ``FIXED_EDGE_CASES`` entry, with the
+    ``cols`` its ``sample`` passes to the triangle's ``_draw``."""
+    w, variant = case
+    if variant != "optimal":
+        tri = build_triangle(w, variant)
+        return tri, tri, (0, 1, 2)
+    g = optimal_coupling(w)[0]
+    col_of = {i: col for col, group in enumerate(g.groups) for i in group}
+    return g, g.inner, [col_of[i] for i in range(g.d)]
 
 
 class TestTriangleParams:
@@ -366,6 +383,40 @@ class TestSampling:
             tracemalloc.stop()
         assert peak <= values.nbytes + 2 * n * values.itemsize + (2 << 20)
 
+    def test_fixed_edge_draw_holds_no_edge_uniforms(self):
+        # The output, the positions along the edge, and the per-block temporaries.
+        n = 1 << 18
+        coupling = optimal_coupling((5, 1, 1))[0]
+        tracemalloc.start()
+        try:
+            values = coupling.sample(n, 1).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + n * values.itemsize + (2 << 20)
+
+    @pytest.mark.parametrize("case", FIXED_EDGE_CASES)
+    @given(
+        st.sampled_from([1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3,
+                         MC_BATCH]),
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_fixed_edge_draw_matches_oracle_and_stream(self, case, n, seed):
+        # All mass on one edge: the edge uniforms are skipped, not drawn, yet
+        # the bits and the generator's state after the draw are the oracle's.
+        copula, tri, cols = fixed_edge_draw(case)
+        assert sorted(tri.masses) == [0.0, 0.0, 1.0]
+        rng, oracle_rng = make_rng(seed), make_rng(seed)
+        values = tri._draw(rng, n, cols)
+        expected = triangle_draw_oracle(tri, oracle_rng, n)[:, cols]
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if isinstance(copula, GroupedWCMCopula):
+            grouped = grouped_sample_oracle(copula, n, seed)
+            assert np.array_equal(copula.sample(n, seed).values.view(np.uint64),
+                                  grouped.view(np.uint64))
+
     @given(
         st.one_of(triple_strategy, st.sampled_from([(2, 1, 1), (1, 2, 1), (1, 1, 2), (3, 1, 2)])),
         st.sampled_from(["A", "B"]),
@@ -395,9 +446,14 @@ class TestSampling:
         class Replay:
             def __init__(self):
                 self.draws = [u, t]
+                self.bit_generator = self
 
             def random(self, n):
                 return self.draws.pop(0)[:n]
+
+            def advance(self, n):
+                # A draw whose mass sits on one edge skips its edge uniforms.
+                self.random(n)
 
         values = tri._draw(Replay(), len(u), (0, 1, 2))
         expected = triangle_draw_oracle(tri, Replay(), len(u))

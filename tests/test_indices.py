@@ -2,23 +2,34 @@
 closed-form indices."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import MixtureSampler, gaussian_copula_sample, spearman_oracle
 from wcm.bounds import optimal_coupling
 from wcm.copula import ComonotonicCopula, IndependenceCopula, build_grouped_wcm, build_triangle
-from wcm.errors import DegenerateDataError, DimensionError, DomainError, ModelError
+from wcm.errors import (
+    DegenerateDataError,
+    DimensionError,
+    DomainError,
+    InvalidWeightError,
+    ModelError,
+)
 from wcm.indices import (
     LognormalModel,
     gaussian_spearman,
     hix_lognormal,
+    pair_weight_matrix,
     rhix_degeneracy_curve,
     rhix_lognormal,
     rhix_lognormal_bivariate,
     six,
     six_bounds,
+    six_from_matrix,
     six_lognormal,
     spearman_rho,
 )
@@ -139,6 +150,33 @@ class TestSixBounds:
 
     def test_pair(self):
         assert six_bounds((1, 1))[0] == pytest.approx(-1.0, abs=1e-15)
+
+    @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=12), st.floats(1.0, 1e20),
+           st.integers(-300, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_lower_end_is_the_correctly_rounded_exact_value(self, w, boost, exponent):
+        # an oversized first weight makes S1^2 - S2 cancel in floats
+        w = [math.ldexp(v, exponent) for v in [w[0] * boost, *w[1:]]]
+        v = [Fraction(x) for x in w]
+        s1, s2 = sum(v), sum(x * x for x in v)
+        excess = max(0, 2 * max(v) - s1)
+        assert six_bounds(w) == (float((excess * excess - s2) / (s1 * s1 - s2)), 1.0)
+
+    @pytest.mark.parametrize("w", [(4, 1e-300), (4, 1e-100), (4, 1, 1e-300), (4, 3e-310),
+                                   (1e300, 1.0, 1.0)])
+    def test_one_weight_dwarfing_the_others(self, w):
+        assert six_bounds(w) == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("w", [(4, 1e-323), (1e300, 1e-300, 1.0)])
+    def test_ratio_beyond_the_float_range_names_the_weights(self, w):
+        given_w = repr(tuple(float(v) for v in w))
+        model = LognormalModel(tuple([0.0] * len(w)), np.eye(len(w)) * 0.04)
+        for call in (lambda: six_bounds(w), lambda: pair_weight_matrix(w),
+                     lambda: six_from_matrix(np.eye(len(w)), w),
+                     lambda: hix_lognormal(w, model), lambda: rhix_lognormal(w, model)):
+            with pytest.raises(InvalidWeightError, match="float range") as err:
+                call()
+            assert given_w in str(err.value)
 
 
 class TestGaussianSpearman:
