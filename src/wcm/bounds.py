@@ -180,8 +180,13 @@ def variance_bound_report(
     threads: int = 1,
 ) -> VarianceBoundReport:
     """Assemble exact bounds and, optionally, a Monte Carlo estimate of the
-    variance of the optimal coupling."""
+    variance of the optimal coupling.  A bad ``seed`` or ``threads`` is a
+    :class:`DomainError` even with no estimate asked for."""
     wv = as_weight_vector(w)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     shrunk = shrink_weights(wv)
     if validate_wcm_existence(wv):
         attained = f"weighted-countermonotonic coupling on {wv.values} (constant sum)"

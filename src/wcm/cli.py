@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
+import math
 import secrets
 import sys
 from typing import Iterable
@@ -156,10 +157,10 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    seed = _resolve_seed(args) if args.mc is not None else None
     report = variance_bound_report(
-        args.weights, mc_n=args.mc, seed=seed, threads=args.threads
+        args.weights, mc_n=args.mc, seed=_resolve_seed(args), threads=args.threads
     )
+    seed = report.mc.seed if report.mc else None
     if args.json or args.out:
         _emit_json(report.to_json_dict(), args, seed)
     else:
@@ -207,14 +208,14 @@ def _cmd_six(args) -> int:
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0.0 or stop < start:
-        raise DomainError(f"bad grid {text!r}")
-    count = int(round((stop - start) / step))
-    grid = [start + k * step for k in range(count + 1)]
+    try:
+        start, stop, step = map(float, text.split(":"))
+    except ValueError:
+        raise DomainError(f"grid must be start:stop:step, got {text!r}") from None
+    count = (stop - start) / step if step > 0.0 and stop >= start else math.nan
+    if not all(map(math.isfinite, (start, stop, step, count))):
+        raise DomainError(f"bad grid {text!r}: need finite start <= stop and step > 0")
+    grid = [start + k * step for k in range(round(count) + 1)]
     return [g for g in grid if g <= stop + 1e-12]
 
 

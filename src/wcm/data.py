@@ -20,8 +20,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .indices import (centred_correlation, correlation_matrix, gaussian_spearman, midranks,
-                      pair_weight_matrix, six_bounds, weighted_six)
+from .indices import (centred_correlation, gaussian_spearman, midranks, pair_weight_matrix,
+                      six_bounds, weighted_six)
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -269,21 +269,22 @@ class RollingSixSeries:
         }
 
 
-def _window_pair_rhos(
-    block: np.ndarray, estimator: str, centred_ranks: np.ndarray | None = None
-) -> np.ndarray:
-    """One window's ``d x d`` matrix of Spearman's rhos.  A pair touching a
-    column that is constant in the window is NaN, so it is left out rather
-    than poisoning the whole window.  ``centred_ranks``: the window's
-    mid-ranks centred on ``(n + 1) / 2``, in any row order, when the caller
-    keeps them; otherwise the block is ranked here."""
-    if estimator not in ("rank", "lognormal"):
-        raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
-    if estimator == "rank":
-        if centred_ranks is None:
-            return correlation_matrix(block)
-        return centred_correlation(centred_ranks)
-    rho = correlation_matrix(block, ranks=False)
+def _window_pair_rhos(ranks: np.ndarray) -> np.ndarray:
+    """One window's ``d x d`` matrix of Spearman's rhos from its mid-ranks
+    centred on ``(n + 1) / 2``, in any row order; a pair touching a column
+    constant in the window is NaN.  The traced bench run times this call."""
+    return centred_correlation(ranks)
+
+
+def _lognormal_pair_rhos(block: np.ndarray) -> np.ndarray:
+    """One window's ``d x d`` matrix of Gaussian-copula Spearman's rhos: the
+    returns' Pearson correlations, those within ``n * eps`` of +/-1 (finer than
+    the Gram's rounding) set to +/-1, through ``gaussian_spearman``.  A pair
+    touching a constant column is NaN; a centred constant column need not be
+    exactly zero, so the constant columns are found from the returns."""
+    rho = centred_correlation(block - block.mean(axis=0), np.ptp(block, axis=0) > 0.0)
+    linear = np.abs(rho) >= 1.0 - len(block) * np.finfo(float).eps
+    rho[linear] = np.sign(rho[linear])
     kept = ~np.isnan(rho)
     rho[kept] = gaussian_spearman(rho[kept])
     return rho
@@ -336,6 +337,8 @@ def rolling_six(
     sharp bounds get ``within_bounds=False`` (sampling noise, flagged not
     fatal).
     """
+    if estimator not in ("rank", "lognormal"):
+        raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
     if p.d < 2:
         raise DimensionError(f"SIX needs at least 2 tickers, the series has {p.d}")
     wv = as_weight_vector(w if w is not None else (1.0,) * p.d)
@@ -349,11 +352,12 @@ def rolling_six(
     skipped: list[tuple[dt.date, str]] = []
     pairs_dropped = 0
     windows = rolling_windows(len(returns), window, step)
-    ranks = _rolling_ranks(returns, windows) if estimator == "rank" else [None] * len(windows)
-    for (start, stop), centred in zip(windows, ranks):
+    if estimator == "rank":
+        rhos = map(_window_pair_rhos, _rolling_ranks(returns, windows))
+    else:
+        rhos = (_lognormal_pair_rhos(returns[start:stop]) for start, stop in windows)
+    for (_, stop), rho in zip(windows, rhos):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
-        block = returns[start:stop]
-        rho = _window_pair_rhos(block, estimator, centred)
         value, within, used = weighted_six(rho, pair_w, bounds)
         n_pairs = int(np.count_nonzero(used))
         pairs_dropped += all_pairs - n_pairs

@@ -36,7 +36,6 @@ __all__ = [
     "LognormalModel",
     "midranks",
     "centred_correlation",
-    "correlation_matrix",
     "spearman_rho",
     "spearman_matrix",
     "gaussian_spearman",
@@ -93,28 +92,6 @@ def centred_correlation(a: np.ndarray, varying: np.ndarray | None = None) -> np.
     return rho
 
 
-def correlation_matrix(x: np.ndarray, ranks: bool = True) -> np.ndarray:
-    """Pairwise correlations of the columns of an ``(n, d)`` array by
-    ``centred_correlation``.  The rows and columns of constant columns are NaN.
-
-    ``ranks``: Spearman's rho, on mid-ranks centred on ``(n + 1) / 2``.  These
-    are multiples of 1/2, so for ``n`` below about 2e5 the product is exact in
-    any summation order and equal or reversed rank columns give exactly +/-1.
-    Otherwise Pearson's correlation of ``x``, where values within ``n * eps``
-    of +/-1, finer than the Gram's rounding, are set to +/-1.  A centred
-    constant column need not be exactly zero, so here the constant columns
-    are found from ``x`` itself.
-    """
-    x = np.asarray(x, dtype=float)
-    if ranks:
-        return centred_correlation(midranks(x) - 0.5 * (x.shape[0] + 1))
-    rho = centred_correlation(x - x.mean(axis=0), np.ptp(x, axis=0) > 0.0)
-    # below the Gram's rounding: exactly linear columns give +/-1
-    linear = np.abs(rho) >= 1.0 - x.shape[0] * np.finfo(float).eps
-    rho[linear] = np.sign(rho[linear])
-    return rho
-
-
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Spearman's rho: Pearson correlation of mid-ranks.
 
@@ -132,7 +109,10 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
 
 def spearman_matrix(data: "SampleMatrix | np.ndarray") -> np.ndarray:
     """The ``d x d`` matrix of rank-sample Spearman's rhos of the columns of a
-    data matrix."""
+    data matrix, by ``centred_correlation`` of the mid-ranks centred on
+    ``(n + 1) / 2``.  These are multiples of 1/2, so for ``n`` below about 2e5
+    the product is exact in any summation order and equal or reversed rank
+    columns give exactly +/-1."""
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
     if values.ndim != 2 or values.shape[1] < 2:
         raise DimensionError("need an (n, d>=2) data matrix")
@@ -140,7 +120,7 @@ def spearman_matrix(data: "SampleMatrix | np.ndarray") -> np.ndarray:
         raise DimensionError("need at least 2 observations")
     if not np.isfinite(values).all():
         raise DomainError("data must be finite to be ranked")
-    rho = correlation_matrix(values)
+    rho = centred_correlation(midranks(values) - 0.5 * (values.shape[0] + 1))
     if np.isnan(rho).any():
         raise DegenerateDataError("constant column: rank correlation is undefined")
     return rho
@@ -214,11 +194,16 @@ def weighted_six(
     ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
     is not NaN (NaN if no weight is left), whether it lies within the sharp
     ``bounds`` up to ``BOUND_SLACK``, and the mask of the pairs used.  Both
-    sums are correctly rounded, so rhos that are all one give exactly 1.0."""
+    sums are correctly rounded, so rhos that are all one give exactly 1.0.
+    One pair's average is its rho itself, which ``w * rho / w`` need not be."""
     terms = pair_w * rho
     used = ~np.isnan(terms)
-    total = math.fsum(pair_w[used].tolist())
-    value = math.fsum(terms[used].tolist()) / total if total else math.nan
+    weights = pair_w[used].tolist()
+    total = math.fsum(weights)
+    if len(weights) == 1 and total:
+        value = float(rho[used][0])
+    else:
+        value = math.fsum(terms[used].tolist()) / total if total else math.nan
     lower, upper = bounds
     return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, used
 

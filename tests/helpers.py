@@ -156,10 +156,13 @@ def window_pair_rhos_oracle(block: np.ndarray, estimator: str):
 
 def six_from_pairs_oracle(pairs, rhos, w) -> tuple[float, tuple]:
     """SIX and its normalized pair weights as first written: from tuples of
-    pairs ``(i, j)`` and their rhos, with ``w_i w_j`` formed one pair at a time."""
+    pairs ``(i, j)`` and their rhos, with ``w_i w_j`` formed one pair at a time.
+    The average of one pair is its rho, exactly."""
     terms = np.array([w[i] * w[j] for i, j in pairs])
     denominator = math.fsum(terms.tolist())
     value = math.fsum((terms * np.array(rhos)).tolist()) / denominator
+    if len(pairs) == 1:
+        value = float(rhos[0])
     return value, tuple(zip(pairs, (terms / denominator).tolist()))
 
 

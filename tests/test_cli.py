@@ -407,6 +407,16 @@ class TestBounds:
         assert err["error"] == "DomainError"
         assert "seed" in err["message"]
 
+    @pytest.mark.parametrize("argv, word", [(["--threads", "0"], "threads"),
+                                            (["--seed", "-1"], "seed")])
+    def test_bad_threads_or_seed_exit_one_without_mc(self, capsys, argv, word):
+        assert main(["bounds", "5", "1", "1", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "DomainError"
+        assert word in err["message"]
+
     @pytest.mark.parametrize("extra", [["--json"], []])
     def test_bound_that_overflows_a_float_exits_one(self, capsys, extra):
         assert main(["bounds", "1e308", "7e307"] + extra) == 1
@@ -579,6 +589,14 @@ class TestCurve:
 
     def test_bad_grid(self, capsys):
         assert main(["curve", "0.5", "oops"]) == 1
+
+    @pytest.mark.parametrize("grid", ["a:1:0.1", "0:b:0.1", "nan:1:0.1", "0:1:nan", "0:inf:1",
+                                      "-inf:0:1", "0:1:inf", "0:1e300:1e-300"])
+    def test_grid_of_a_non_finite_or_non_numeric_part_exits_one(self, capsys, grid):
+        assert main(["curve", "0.5", "--", grid]) == 1  # "--": "-inf" is no option
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "DomainError"
 
 
 class TestUsageErrors:

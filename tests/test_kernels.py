@@ -21,12 +21,11 @@ from helpers import (
     window_pair_rhos_oracle,
 )
 import wcm.data
-from wcm.data import (SLIDE_ROWS, PriceSeries, _rolling_ranks, _window_pair_rhos, log_returns,
-                      rolling_six, rolling_windows)
+from wcm.data import (SLIDE_ROWS, PriceSeries, _lognormal_pair_rhos, _rolling_ranks,
+                      _window_pair_rhos, log_returns, rolling_six, rolling_windows)
 from wcm.errors import DegenerateDataError, DomainError
 from wcm.indices import (
     LognormalModel,
-    correlation_matrix,
     gaussian_spearman,
     hix_lognormal,
     midranks,
@@ -71,8 +70,16 @@ def upper_pairs(rho):
     return list(zip(rows.tolist(), cols.tolist())), rho[rows, cols].tolist()
 
 
+def window_rhos(block, estimator):
+    """A window's rho matrix by the kernel ``rolling_six`` runs for ``estimator``,
+    on ranks of the block taken afresh for ``rank``."""
+    if estimator == "rank":
+        return _window_pair_rhos(midranks(block) - 0.5 * (len(block) + 1))
+    return _lognormal_pair_rhos(block)
+
+
 def as_pairs(block, estimator):
-    pairs, rhos = upper_pairs(_window_pair_rhos(block, estimator))
+    pairs, rhos = upper_pairs(window_rhos(block, estimator))
     return (tuple(p for p, r in zip(pairs, rhos) if not math.isnan(r)),
             tuple(r for r in rhos if not math.isnan(r)),
             tuple(p for p, r in zip(pairs, rhos) if math.isnan(r)))
@@ -106,7 +113,7 @@ def test_midranks_match_rankdata(block, one_column):
 def test_equal_and_reversed_rank_columns_are_exact():
     x = np.random.default_rng(1).standard_normal(500)
     block = np.column_stack((x, np.exp(x), -x, x**3))
-    rho = correlation_matrix(block)
+    rho = spearman_matrix(block)
     assert (rho == np.array([[1, 1, -1, 1], [1, 1, -1, 1],
                              [-1, -1, 1, -1], [1, 1, -1, 1]])).all()
 
@@ -115,11 +122,11 @@ def test_constant_columns_are_masked_without_runtime_warnings():
     block = np.column_stack((np.arange(10.0), np.full(10, 0.1), np.arange(10.0) ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for ranks in (True, False):
-            rho = correlation_matrix(block, ranks=ranks)
+        for estimator in ("rank", "lognormal"):
+            rho = window_rhos(block, estimator)
             assert np.isnan(rho).tolist() == [[False, True, False], [True] * 3,
                                               [False, True, False]]
-            assert rho[0, 2] == 1.0 or not ranks
+            assert rho[0, 2] == 1.0 or estimator != "rank"
 
 
 def series_from(returns):
@@ -199,8 +206,8 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
         # the slid ranks are midranks' bits (signed zeros too) in ring order
         want = midranks(block) - 0.5 * (window + 1)
         assert np.sort(centred, axis=0).tobytes() == np.sort(want, axis=0).tobytes()
-        rho = correlation_matrix(block)
-        assert _window_pair_rhos(block, "rank", centred).tobytes() == rho.tobytes()
+        rho = _window_pair_rhos(centred)
+        assert rho.tobytes() == window_rhos(block, "rank").tobytes()
         value, _, used = weighted_six(rho, pair_w, bounds)
         pairs, rhos, left_out = window_pair_rhos_oracle(block, "rank")
         assert np.count_nonzero(used) == len(pairs)
@@ -218,20 +225,30 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
 @pytest.mark.parametrize("estimator", ["rank", "lognormal"])
 @pytest.mark.parametrize("step", [1, 3, SLIDE_ROWS + 1, 30])
 def test_rolling_six_calls_the_window_kernel_once_per_window(monkeypatch, estimator, step):
-    # bench/worker.py times this call as the "indices.spearman_matrix" stage
+    # bench/worker.py times ``_window_pair_rhos`` as the "indices.spearman_matrix"
+    # stage and ``gaussian_spearman``, looked up in ``wcm.data``, as
+    # "indices.gaussian_spearman"
+    kernel = {"rank": "_window_pair_rhos", "lognormal": "_lognormal_pair_rhos"}[estimator]
     calls = []
-    kernel = wcm.data._window_pair_rhos
 
-    def counted(block, *rest):
-        calls.append(len(block))
-        return kernel(block, *rest)
+    def count(name):
+        original = getattr(wcm.data, name)
 
-    monkeypatch.setattr(wcm.data, "_window_pair_rhos", counted)
+        def counted(x):
+            calls.append((name, len(x)))
+            return original(x)
+
+        monkeypatch.setattr(wcm.data, name, counted)
+
+    count(kernel)
+    count("gaussian_spearman")
     x = 0.01 * np.random.default_rng(3).standard_normal((120, 4))
     x[40:90] = 0.0  # every ticker halts: windows inside are skipped
     rolling = rolling_six(series_from(x), window=20, step=step, estimator=estimator)
     windows = rolling_windows(len(x), 20, step)
-    assert calls == [20] * len(windows)
+    assert [n for name, n in calls if name == kernel] == [20] * len(windows)
+    maps = sum(name == "gaussian_spearman" for name, _ in calls)
+    assert maps == (len(windows) if estimator == "lognormal" else 0)
     assert len(rolling.entries) + len(rolling.skipped) == len(windows)
     assert rolling.skipped
 
@@ -287,6 +304,31 @@ def test_six_from_matrix_leaves_out_nan_pairs():
     rho[0, 1] = np.nan
     with pytest.raises(DegenerateDataError):
         six_from_matrix(rho, (1, 2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_six_of_one_pair_is_that_pairs_rho(d, data):
+    i, j = sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
+    r = data.draw(st.floats(-1.0, 1.0))
+    w = data.draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d))
+    rho = np.full((d, d), np.nan)
+    rho[i, j] = rho[j, i] = r
+    report = six_from_matrix(rho, w)
+    assert (report.six.hex(), report.pair_weights) == (r.hex(), (((i, j), 1.0),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks(max_n=60, max_d=2), st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2),
+       st.sampled_from(["rank", "lognormal"]))
+def test_two_ticker_rolling_six_is_each_windows_rho(block, w, estimator):
+    series = series_from(block)
+    returns = log_returns(series)
+    window = min(10, len(returns))
+    rolling = rolling_six(series, w, window=window, step=2, estimator=estimator)
+    rhos = [window_rhos(returns[start:stop], estimator)[0, 1]
+            for start, stop in rolling_windows(len(returns), window, 2)]
+    assert [e.six.hex() for e in rolling.entries] == [r.hex() for r in rhos if not math.isnan(r)]
 
 
 @settings(max_examples=200, deadline=None)
