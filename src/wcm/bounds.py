@@ -34,8 +34,6 @@ __all__ = [
     "optimal_coupling",
     "mc_variance",
     "variance_bound_report",
-    "covariance_identity_check",
-    "lemma_m_check",
 ]
 
 # Draws per Monte Carlo batch; each batch has its own child stream.
@@ -210,46 +208,3 @@ def variance_bound_report(
         mc=mc,
     )
 
-
-def covariance_identity_check(
-    samples: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]"
-) -> float:
-    """Residual of ``Var(w . u) == sum_i w_i^2 Var(u_i) + 2 sum_{i<j} w_i w_j Cov(u_i, u_j)``.
-
-    Both sides use the unbiased (n-1) sample-moment convention, so the
-    residual is zero up to floating point on any sample.
-    """
-    wv = as_weight_vector(w)
-    values = sample_values(samples, wv.d)
-    if values.shape[0] < 2:
-        raise DimensionError("need at least 2 rows")
-    weights = np.array(wv.values)
-    lhs = float(np.var(values @ weights, ddof=1))
-    cov = np.cov(values.T, ddof=1)
-    rhs = float(weights @ cov @ weights)
-    return abs(lhs - rhs)
-
-
-def lemma_m_check(
-    samples: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]"
-) -> float:
-    """Sample covariance between the max-weight coordinate and ``w . u``.
-
-    Requires ``2 * max(w) == sum(w)`` exactly.  The population value is
-    nonnegative for every copula and zero exactly on the
-    weighted-countermonotonic ones, so the sample value should sit within
-    sampling error of zero for such samples.
-    """
-    wv = as_weight_vector(w)
-    if 2.0 * wv.wmax != wv.s1:
-        raise DomainError(
-            f"requires 2*max(w) == sum(w); got 2*{wv.wmax} != {wv.s1}"
-        )
-    values = sample_values(samples, wv.d)
-    if values.shape[0] < 2:
-        raise DimensionError("need at least 2 rows")
-    col = int(np.argmax(wv.values))
-    weights = np.array(wv.values)
-    u1 = values[:, col]
-    s = values @ weights
-    return float(np.cov(u1, s, ddof=1)[0, 1])

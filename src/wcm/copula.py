@@ -1,15 +1,18 @@
 """Construction, exact CDF evaluation, and sampling of weighted-countermonotonic
 copulas.
 
-For a weight triple ``(w1, w2, w3)`` forming (possibly degenerate) triangle
-side lengths, the copula is supported on the three edges of a triangle inside
-the unit cube whose vertices lie on the hyperplane ``w . u == sum(w) / 2``,
-with mass uniformly distributed along each edge.  Two inequivalent vertex
-layouts exist (variants "A" and "B"); both have exactly uniform marginals.
-General dimension ``d >= 3`` is reached by partitioning the weights into three
-groups, making coordinates within a group comonotonic, and coupling the three
-group aggregates through a triangle copula.  For ``d == 2`` the construction
-exists only for equal weights and reduces to the countermonotonic pair.
+Every copula here is one type, :class:`GroupedWCMCopula`: a mixture of uniform
+laws on segments between vertices in the cube of the weight groups, read
+through a column map.  Every support point ``u`` satisfies
+``w . u == sum(w) / 2``.  For a weight triple ``(w1, w2, w3)`` forming
+(possibly degenerate) triangle side lengths, the segments are the three edges
+of a triangle inside the unit cube, in two inequivalent vertex layouts
+(variants "A" and "B"); both have exactly uniform marginals.  General
+dimension ``d >= 3`` partitions the weights into three groups, makes the
+coordinates within a group comonotonic, and couples the three group
+aggregates through a triangle.  For ``d == 2`` the construction exists only
+for equal weights: one segment from ``(1, 0)`` to ``(0, 1)``, the
+countermonotonic pair.
 
 Randomness uses numpy's PCG64 generator seeded through ``SeedSequence``;
 parallel batches draw from ``SeedSequence(seed).spawn(n_batches)`` so results
@@ -19,8 +22,8 @@ are reproducible bit-for-bit regardless of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with this module, not on the first draw
@@ -43,18 +46,13 @@ from .weights import (
 __all__ = [
     "GENERATOR_NAME",
     "SampleMatrix",
-    "TriangleCopula",
     "GroupedWCMCopula",
-    "CountermonotonicPair",
-    "ComonotonicCopula",
-    "IndependenceCopula",
     "triangle_params",
     "edge_masses",
     "build_triangle",
     "build_grouped_wcm",
     "check_wcm",
     "sample_values",
-    "frechet_bounds",
     "make_rng",
     "spawn_rngs",
 ]
@@ -64,10 +62,9 @@ GENERATOR_NAME = "pcg64"
 #: Sample-level support checks (accumulated rounding over linear combinations).
 SUPPORT_TOL = 1e-9
 
-_EDGES = ((0, 1), (1, 2), (2, 0))
 _EDGE_LABELS = ("m12", "m23", "m31")
 _CSV_BLOCK = 1 << 10  # rows per block of CSV text (~230 KB at d = 12): bounds the strings held at once
-_DRAW_BLOCK = 1 << 14  # rows per block of a triangle draw: keeps its temporaries in L2
+_DRAW_BLOCK = 1 << 14  # rows per block of a draw: keeps its temporaries in L2
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -143,14 +140,6 @@ def sample_values(samples: "SampleMatrix | np.ndarray", d: int) -> np.ndarray:
     return values
 
 
-def _sampled(n: int, seed: int, draw: Callable, meta: dict) -> SampleMatrix:
-    """The sample path every copula shares: ``draw(rng, n)`` on the generator
-    seeded by ``seed``, wrapped with its seed and metadata."""
-    if n < 1:
-        raise DimensionError(f"sample size must be >= 1, got {n}")
-    return SampleMatrix(draw(make_rng(seed), n), seed=seed, meta=meta)
-
-
 def triangle_params(w: Sequence[float]) -> tuple[float, float, float]:
     """Interior vertex coordinates for the triangle supporting a weight triple.
 
@@ -221,98 +210,142 @@ def edge_masses(z: Sequence[float]) -> tuple[float, float, float]:
 
 
 @dataclass(frozen=True)
-class TriangleCopula:
-    """A three-dimensional copula supported on the edges of a triangle.
+class GroupedWCMCopula:
+    """A weighted-countermonotonic copula: uniform laws on segments in the
+    cube of the weight groups, mixed by mass and read through a column map.
 
-    ``vertices`` are the triangle corners ``p1, p2, p3``; ``masses`` are the
-    probabilities ``(m12, m23, m31)`` of the edges ``p1p2, p2p3, p3p1``, with
-    mass spread uniformly along each edge.  Every support point ``u``
-    satisfies ``w . u == sum(w) / 2``.
+    Output column ``i`` in ``groups[g]`` reads coordinate ``g``, so the
+    columns of a group are comonotonic.  Segment ``k`` joins ``vertices[k]``
+    and ``vertices[k + 1]`` cyclically and carries the probability
+    ``masses[k]``, spread uniformly along it: a triangle has three segments
+    and the countermonotonic pair one.  Every vertex, and so every support
+    point, satisfies ``aggregates . p == sum(w) / 2``.  ``construction`` is
+    ``"triangle"``, ``"grouped"`` or ``"countermonotonic"``; ``z_values`` and
+    ``variant`` are those of the triangle (see :func:`build_triangle`).
     """
 
-    weights: tuple[float, float, float]
-    z_values: tuple[float, float, float]
-    vertices: tuple[tuple[float, float, float], ...]
-    masses: tuple[float, float, float]
-    variant: str
+    weights: tuple[float, ...]
+    groups: tuple[tuple[int, ...], ...]
+    vertices: tuple[tuple[float, ...], ...]
+    masses: tuple[float, ...]
+    construction: str
+    z_values: tuple[float, ...] = ()
+    variant: str | None = None
 
     def __post_init__(self) -> None:
-        s1 = math.fsum(self.weights)
-        tol = CONSTRUCTION_TOL * max(1.0, s1)
+        if (not all(self.groups)
+                or sorted(i for g in self.groups for i in g) != list(range(self.d))):
+            raise DimensionError(
+                f"groups {self.groups} do not split {self.d} weights into nonempty groups")
+        if (len(self.vertices), len(self.masses)) not in ((2, 1), (3, 3)) or any(
+                len(p) != len(self.groups) for p in self.vertices):
+            raise DimensionError(
+                f"{len(self.masses)} segments on {len(self.vertices)} vertices in "
+                f"{len(self.groups)} groups: need one segment on two vertices or a "
+                "triangle of three, with a coordinate per group")
+        if self.construction not in ("triangle", "grouped", "countermonotonic"):
+            raise DomainError(f"unknown construction {self.construction!r}")
         if abs(math.fsum(self.masses) - 1.0) > CONSTRUCTION_TOL or min(self.masses) < 0.0:
             raise MassNormalizationError(f"invalid edge masses {self.masses!r}")
         for z in self.z_values:
             if not (0.0 <= z <= 1.0):
                 raise DomainError(f"z-value {z!r} outside [0, 1]")
+        aggregates = self.aggregates
+        s1 = math.fsum(aggregates)
+        tol = CONSTRUCTION_TOL * max(1.0, s1)
         for p in self.vertices:
-            dot = math.fsum(wi * pi for wi, pi in zip(self.weights, p))
+            dot = math.fsum(wi * pi for wi, pi in zip(aggregates, p))
             if abs(dot - 0.5 * s1) > tol:
                 raise ExistenceError(
-                    f"vertex {p!r} misses the support hyperplane by {dot - 0.5 * s1:.3g}"
+                    f"vertex {p!r} misses the support hyperplane of the aggregate weights "
+                    f"{aggregates} by {dot - 0.5 * s1:.3g}"
                 )
 
     @property
     def d(self) -> int:
-        return 3
+        return len(self.weights)
+
+    @property
+    def aggregates(self) -> tuple[float, ...]:
+        """The weight of each group: the ``fsum`` of its members' weights."""
+        return tuple(math.fsum(self.weights[i] for i in g) for g in self.groups)
+
+    def _segments(self) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
+        """``(start, end)`` of each segment, in the order of ``masses``."""
+        return ((self.vertices[k], self.vertices[(k + 1) % len(self.vertices)])
+                for k in range(len(self.masses)))
 
     def cdf(self, u: Sequence[float]) -> float:
         """Exact CDF at ``u``.
 
-        Points on an edge are ``t*p_i + (1-t)*p_j`` with ``t`` uniform; each
-        coordinate constraint is linear in ``t``, so the admissible set per
-        edge is an interval whose length multiplies the edge mass.  Closed
-        form, no quadrature.
+        Columns within a group are equal, so only each group's smallest
+        coordinate binds.  Points on a segment are ``t*start + (1-t)*end``
+        with ``t`` uniform; each coordinate constraint is linear in ``t``, so
+        the admissible set per segment is an interval whose length multiplies
+        the segment's mass.  Closed form, no quadrature.
         """
-        point = _require_unit_cube(u, 3)
+        point = _require_unit_cube(u, self.d)
+        corner = tuple(min(point[i] for i in g) for g in self.groups)
         total = 0.0
-        for (i, j), mass in zip(_EDGES, self.masses):
-            total += mass * _edge_interval_length(self.vertices[i], self.vertices[j], point)
+        for (start, end), mass in zip(self._segments(), self.masses):
+            total += mass * _edge_interval_length(start, end, corner)
         return min(1.0, total)
 
     def marginal_cdf(self, k: int, value: float) -> float:
         """CDF of coordinate ``k`` alone (others at 1)."""
-        point = [1.0, 1.0, 1.0]
+        point = [1.0] * self.d
         point[k] = value
         return self.cdf(point)
 
     def sample(self, n: int, seed: int) -> SampleMatrix:
-        """Draw ``n`` observations: pick an edge by mass, then a uniform
+        """Draw ``n`` observations: pick a segment by mass, then a uniform
         position along it.  Deterministic given ``seed``."""
-        meta = {"weights": list(self.weights), "variant": self.variant,
-                "construction": "triangle"}
-        return _sampled(n, seed, lambda rng, n: self._draw(rng, n, (0, 1, 2)), meta)
+        if n < 1:
+            raise DimensionError(f"sample size must be >= 1, got {n}")
+        meta = {"weights": list(self.weights)}
+        if self.construction == "triangle":
+            meta["variant"] = self.variant
+        meta["construction"] = self.construction
+        if self.construction == "grouped":
+            meta.update(groups=[list(g) for g in self.groups], aggregates=list(self.aggregates))
+        return SampleMatrix(self._draw(make_rng(seed), n), seed=seed, meta=meta)
 
-    def _draw(self, rng: np.random.Generator, n: int, cols: Sequence[int]) -> np.ndarray:
-        """``n`` draws as a C-order ``(n, len(cols))`` matrix whose column ``i``
-        is coordinate ``cols[i]``: all uniforms first, then the coordinates
-        ``_DRAW_BLOCK`` rows at a time.  Each step is elementwise, so the bits
-        do not depend on the block size.
+    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws as a C-order ``(n, d)`` matrix: all uniforms first, then
+        the coordinates ``_DRAW_BLOCK`` rows at a time, each group's coordinate
+        copied to its columns.  Each step is elementwise, so the bits do not
+        depend on the block size.  C order: the bits of a downstream
+        ``values @ w`` depend on it.
 
-        With no cumulative mass inside (0, 1), all mass sits on one edge and
-        ``u >= cum[k]`` is the same for every ``u`` in [0, 1): the edge uniforms
-        are skipped with ``advance(n)``, as each PCG64 double is one 64-bit
-        step, so ``t`` and the bits stay those of the full draw."""
-        cum = np.cumsum(self.masses)
-        fixed = not ((cum[:2] > 0.0) & (cum[:2] < 1.0)).any()
+        A lone segment draws no segment uniforms.  With no cumulative mass
+        inside (0, 1), all mass sits on one segment and ``u >= cum[k]`` is the
+        same for every ``u`` in [0, 1): the segment uniforms are skipped with
+        ``advance(n)``, as each PCG64 double is one 64-bit step, so ``t`` and
+        the bits stay those of the full draw."""
+        cum = np.cumsum(self.masses)[:-1]
+        fixed = not ((cum > 0.0) & (cum < 1.0)).any()
         if fixed:
-            rng.bit_generator.advance(n)
-            edge = int((cum[:2] <= 0.0).sum())
+            if len(cum):
+                rng.bit_generator.advance(n)
+            edge = int((cum <= 0.0).sum())
         else:
             u = rng.random(n)
         t = rng.random(n)
-        start, end = (np.array([self.vertices[e[side]] for e in _EDGES]).T for side in (0, 1))
-        out = np.empty((n, len(cols)))
+        start, end = (np.array(ends).T for ends in zip(*self._segments()))
+        out = np.empty((n, self.d))
         for lo in range(0, n, _DRAW_BLOCK):
             tb = t[lo:lo + _DRAW_BLOCK]
             if not fixed:
                 ub = u[lo:lo + _DRAW_BLOCK]
-                # min(searchsorted(cum, u, "right"), 2), as masses >= 0 keep cum sorted
+                # searchsorted(cum, u, "right") for the triangle's two cut points,
+                # as masses >= 0 keep cum sorted
                 edge = np.add(ub >= cum[0], ub >= cum[1], dtype=np.intp)
             sb = 1.0 - tb
             coords = [tb * a.take(edge) + sb * b.take(edge) for a, b in zip(start, end)]
             block = out[lo:lo + _DRAW_BLOCK]
-            for i, col in enumerate(cols):
-                block[:, i] = coords[col]
+            for coord, group in zip(coords, self.groups):
+                for i in group:
+                    block[:, i] = coord
         return out
 
     def to_dict(self) -> dict:
@@ -358,7 +391,7 @@ def _edge_interval_length(a: Sequence[float], b: Sequence[float], u: Sequence[fl
     return max(0.0, hi - lo)
 
 
-def build_triangle(w: Sequence[float], variant: str = "A") -> TriangleCopula:
+def build_triangle(w: Sequence[float], variant: str = "A") -> GroupedWCMCopula:
     """Construct the triangle copula for a weight triple.
 
     Variant "A" places vertices ``(1, z1, 0), (0, 1, z2), (z3, 0, 1)`` with
@@ -375,85 +408,25 @@ def build_triangle(w: Sequence[float], variant: str = "A") -> TriangleCopula:
         raise DomainError(f"variant must be 'A' or 'B', got {variant!r}")
     # Also the existence check for "B", so its error names the weights as given.
     z = triangle_params(wv)
+    groups = ((0,), (1,), (2,))
     if variant == "A":
         vertices = ((1.0, z[0], 0.0), (0.0, 1.0, z[1]), (z[2], 0.0, 1.0))
-        return TriangleCopula(wv.values, z, vertices, edge_masses(z), variant)
+        return GroupedWCMCopula(wv.values, groups, vertices, edge_masses(z), "triangle", z, variant)
     w1, w2, w3 = wv.values
     a = build_triangle((w1, w3, w2), "A")
     p1, p2, p3 = ((p[0], p[2], p[1]) for p in a.vertices)
     (z1, z2, z3), (m12, m23, m31) = a.z_values, a.masses
-    return TriangleCopula(wv.values, (z1, z3, z2), (p1, p3, p2), (m31, m23, m12), variant)
+    return GroupedWCMCopula(wv.values, groups, (p1, p3, p2), (m31, m23, m12), "triangle",
+                            (z1, z3, z2), variant)
 
 
-@dataclass(frozen=True)
-class CountermonotonicPair:
-    """The unique extreme-negative-dependence copula in two dimensions:
-    ``U2 == 1 - U1`` exactly.  Exists for equal weights only."""
-
-    weights: tuple[float, float]
-
-    @property
-    def d(self) -> int:
-        return 2
-
-    def cdf(self, u: Sequence[float]) -> float:
-        u1, u2 = _require_unit_cube(u, 2)
-        return max(u1 + u2 - 1.0, 0.0)
-
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        meta = {"weights": list(self.weights), "construction": "countermonotonic"}
-        return _sampled(n, seed, self._draw, meta)
-
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        return np.column_stack([u, 1.0 - u])
-
-
-@dataclass(frozen=True)
-class GroupedWCMCopula:
-    """General-dimension construction: comonotonic within three groups whose
-    aggregate weights, ``inner.weights``, are coupled through an inner
-    triangle copula."""
-
-    weights: tuple[float, ...]
-    groups: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    inner: TriangleCopula
-
-    def __post_init__(self) -> None:
-        if (len(self.groups) != 3 or not all(self.groups)
-                or sorted(i for g in self.groups for i in g) != list(range(self.d))):
-            raise DimensionError(
-                f"groups {self.groups} do not split {self.d} weights into three nonempty groups")
-
-    @property
-    def d(self) -> int:
-        return len(self.weights)
-
-    def cdf(self, u: Sequence[float]) -> float:
-        """Exact CDF: coordinates within a group are equal, so only each
-        group's smallest coordinate binds, ``C_tri(min_A u, min_B u, min_C u)``."""
-        point = _require_unit_cube(u, self.d)
-        return self.inner.cdf(tuple(min(point[i] for i in g) for g in self.groups))
-
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        col_of = {i: col for col, group in enumerate(self.groups) for i in group}
-        cols = [col_of[i] for i in range(self.d)]
-        meta = {"weights": list(self.weights), "construction": "grouped",
-                "groups": [list(group) for group in self.groups],
-                "aggregates": list(self.inner.weights)}
-        # C order: the bits of a downstream ``values @ w`` depend on it
-        return _sampled(n, seed, lambda rng, n: self.inner._draw(rng, n, cols), meta)
-
-
-def build_grouped_wcm(
-    w: "WeightVector | Iterable[float]",
-) -> "GroupedWCMCopula | CountermonotonicPair":
+def build_grouped_wcm(w: "WeightVector | Iterable[float]") -> GroupedWCMCopula:
     """Build a weighted-countermonotonic copula for any admissible weights.
 
     Raises :class:`ExistenceError` (reporting ``2*max - sum``) when the
-    criterion fails.  ``d == 2`` yields the countermonotonic pair; ``d >= 3``
-    partitions the weights and couples the three aggregates through a
-    variant-A triangle.
+    criterion fails.  ``d == 2`` yields the countermonotonic pair, one segment
+    from ``(1, 0)`` to ``(0, 1)``; ``d >= 3`` partitions the weights and
+    couples the three aggregates through a variant-A triangle.
     """
     wv = as_weight_vector(w)
     if not validate_wcm_existence(wv):
@@ -462,52 +435,11 @@ def build_grouped_wcm(
             f"2*max - sum = {existence_deficit(wv):.17g} > 0"
         )
     if wv.d == 2:
-        return CountermonotonicPair(wv.values)  # type: ignore[arg-type]
+        return GroupedWCMCopula(wv.values, ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
+                                "countermonotonic")
     groups = partition_weights(wv)
-    inner = build_triangle([math.fsum(wv.values[i] for i in g) for g in groups], variant="A")
-    return GroupedWCMCopula(wv.values, groups, inner)
-
-
-def _require_dimension(d: int) -> None:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
-
-
-@dataclass(frozen=True)
-class ComonotonicCopula:
-    """All coordinates equal to one shared uniform draw."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        _require_dimension(self.d)
-
-    def cdf(self, u: Sequence[float]) -> float:
-        return min(_require_unit_cube(u, self.d))
-
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        return _sampled(
-            n, seed, lambda rng, n: np.tile(rng.random(n)[:, None], (1, self.d)),
-            {"construction": "comonotonic"},
-        )
-
-
-@dataclass(frozen=True)
-class IndependenceCopula:
-    """Coordinates drawn independently."""
-
-    d: int
-
-    def __post_init__(self) -> None:
-        _require_dimension(self.d)
-
-    def cdf(self, u: Sequence[float]) -> float:
-        return float(np.prod(_require_unit_cube(u, self.d)))
-
-    def sample(self, n: int, seed: int) -> SampleMatrix:
-        return _sampled(
-            n, seed, lambda rng, n: rng.random((n, self.d)), {"construction": "independence"}
-        )
+    triangle = build_triangle([math.fsum(wv.values[i] for i in g) for g in groups], variant="A")
+    return replace(triangle, weights=wv.values, groups=groups, construction="grouped")
 
 
 def check_wcm(
@@ -524,13 +456,3 @@ def check_wcm(
     max_dev = float(np.max(np.abs(dots - 0.5 * wv.s1))) if len(dots) else 0.0
     return max_dev <= SUPPORT_TOL, max_dev
 
-
-def frechet_bounds(u: Sequence[float]) -> tuple[float, float]:
-    """Pointwise lower and upper bounds ``(W(u), M(u))`` valid for every copula:
-    ``W(u) = max(sum(u) - (d-1), 0)`` and ``M(u) = min(u)``."""
-    point = tuple(float(v) for v in u)
-    if len(point) < 2:
-        raise DimensionError("need at least 2 coordinates")
-    _require_unit_cube(point, len(point))
-    lower = max(math.fsum(point) - (len(point) - 1), 0.0)
-    return lower, min(point)

@@ -1,5 +1,8 @@
-"""Shared test utilities: uniformity statistics, reference samplers (the
-Gaussian copula among them), the brute-force rank-correlation oracle, the
+"""Shared test utilities: uniformity statistics, reference copulas and
+samplers (the comonotonic, independence and Gaussian copulas among them), the
+Frechet bounds, the covariance-identity and Lemma M sample checks, the
+countermonotonic pair's CDF as first written, the brute-force rank-correlation
+oracle, the
 per-pair loops and the pairs-tuple SIX average that the matrix kernels of
 ``wcm.indices`` replaced, and the least-squares variant-B construction that
 the closed form of ``wcm.copula`` replaced, and the row-wise sample draw,
@@ -20,8 +23,9 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from wcm.bounds import MC_BATCH, _combine, _draw_dots
-from wcm.copula import SampleMatrix, make_rng, spawn_rngs
-from wcm.errors import DegenerateDataError, DomainError, MassNormalizationError
+from wcm.copula import (SampleMatrix, _require_unit_cube, build_triangle, make_rng,
+                        sample_values, spawn_rngs)
+from wcm.errors import DegenerateDataError, DimensionError, DomainError, MassNormalizationError
 from wcm.weights import as_weight_vector
 
 
@@ -36,6 +40,107 @@ def ks_uniform_statistic(x: np.ndarray) -> float:
 def ks_critical_1pct(n: int) -> float:
     """Asymptotic 1% critical value for the one-sample KS statistic."""
     return 1.63 / math.sqrt(n)
+
+
+def _require_dimension(d: int) -> None:
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise DimensionError(f"dimension must be an integer >= 2, got {d!r}")
+
+
+def _reference_sample(n: int, seed: int, draw, construction: str) -> SampleMatrix:
+    if n < 1:
+        raise DimensionError(f"sample size must be >= 1, got {n}")
+    return SampleMatrix(draw(make_rng(seed), n), seed=seed, meta={"construction": construction})
+
+
+@dataclass(frozen=True)
+class ComonotonicCopula:
+    """All coordinates equal to one shared uniform draw."""
+
+    d: int
+
+    def __post_init__(self) -> None:
+        _require_dimension(self.d)
+
+    def cdf(self, u) -> float:
+        return min(_require_unit_cube(u, self.d))
+
+    def sample(self, n: int, seed: int) -> SampleMatrix:
+        return _reference_sample(
+            n, seed, lambda rng, n: np.tile(rng.random(n)[:, None], (1, self.d)), "comonotonic")
+
+
+@dataclass(frozen=True)
+class IndependenceCopula:
+    """Coordinates drawn independently."""
+
+    d: int
+
+    def __post_init__(self) -> None:
+        _require_dimension(self.d)
+
+    def cdf(self, u) -> float:
+        return float(np.prod(_require_unit_cube(u, self.d)))
+
+    def sample(self, n: int, seed: int) -> SampleMatrix:
+        return _reference_sample(n, seed, lambda rng, n: rng.random((n, self.d)), "independence")
+
+
+def frechet_bounds(u) -> tuple[float, float]:
+    """Pointwise lower and upper bounds ``(W(u), M(u))`` valid for every copula:
+    ``W(u) = max(sum(u) - (d-1), 0)`` and ``M(u) = min(u)``."""
+    point = tuple(float(v) for v in u)
+    if len(point) < 2:
+        raise DimensionError("need at least 2 coordinates")
+    _require_unit_cube(point, len(point))
+    lower = max(math.fsum(point) - (len(point) - 1), 0.0)
+    return lower, min(point)
+
+
+def countermonotonic_cdf_oracle(u) -> float:
+    """The countermonotonic pair's CDF as first written: ``max(u1 + u2 - 1, 0)``."""
+    u1, u2 = _require_unit_cube(u, 2)
+    return max(u1 + u2 - 1.0, 0.0)
+
+
+def covariance_identity_check(samples, w) -> float:
+    """Residual of ``Var(w . u) == sum_i w_i^2 Var(u_i) + 2 sum_{i<j} w_i w_j Cov(u_i, u_j)``.
+
+    Both sides use the unbiased (n-1) sample-moment convention, so the
+    residual is zero up to floating point on any sample.
+    """
+    wv = as_weight_vector(w)
+    values = sample_values(samples, wv.d)
+    if values.shape[0] < 2:
+        raise DimensionError("need at least 2 rows")
+    weights = np.array(wv.values)
+    lhs = float(np.var(values @ weights, ddof=1))
+    cov = np.cov(values.T, ddof=1)
+    rhs = float(weights @ cov @ weights)
+    return abs(lhs - rhs)
+
+
+def lemma_m_check(samples, w) -> float:
+    """Sample covariance between the max-weight coordinate and ``w . u``.
+
+    Requires ``2 * max(w) == sum(w)`` exactly.  The population value is
+    nonnegative for every copula and zero exactly on the
+    weighted-countermonotonic ones, so the sample value should sit within
+    sampling error of zero for such samples.
+    """
+    wv = as_weight_vector(w)
+    if 2.0 * wv.wmax != wv.s1:
+        raise DomainError(
+            f"requires 2*max(w) == sum(w); got 2*{wv.wmax} != {wv.s1}"
+        )
+    values = sample_values(samples, wv.d)
+    if values.shape[0] < 2:
+        raise DimensionError("need at least 2 rows")
+    col = int(np.argmax(wv.values))
+    weights = np.array(wv.values)
+    u1 = values[:, col]
+    s = values @ weights
+    return float(np.cov(u1, s, ddof=1)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -262,7 +367,8 @@ def grouped_sample_oracle(g, n: int, seed: int) -> np.ndarray:
     col_of = np.empty(g.d, dtype=np.intp)
     for col, group in enumerate(g.groups):
         col_of[list(group)] = col
-    return triangle_draw_oracle(g.inner, make_rng(seed), n).take(col_of, axis=1, mode="clip")
+    tri = build_triangle(g.aggregates)
+    return triangle_draw_oracle(tri, make_rng(seed), n).take(col_of, axis=1, mode="clip")
 
 
 def csv_oracle(values: np.ndarray) -> str:

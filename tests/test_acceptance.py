@@ -6,9 +6,15 @@ import time
 
 import numpy as np
 
-from helpers import gaussian_copula_sample, ks_critical_1pct, ks_uniform_statistic, spearman_oracle
+from helpers import (
+    ComonotonicCopula,
+    gaussian_copula_sample,
+    ks_critical_1pct,
+    ks_uniform_statistic,
+    spearman_oracle,
+)
 from wcm.bounds import mc_variance, optimal_coupling
-from wcm.copula import ComonotonicCopula, build_grouped_wcm, build_triangle, check_wcm
+from wcm.copula import build_grouped_wcm, build_triangle, check_wcm
 from wcm.indices import (
     LognormalModel,
     gaussian_spearman,
@@ -80,8 +86,8 @@ def _uniformity_cases():
         ("(5,4,3) A", build_triangle((5, 4, 3), "A")),
         ("(5,4,3) B", build_triangle((5, 4, 3), "B")),
         ("(1,1,1) A", build_triangle((1, 1, 1), "A")),
-        ("inner (1,1,1,1)", build_grouped_wcm((1, 1, 1, 1)).inner),
-        ("inner (3,3,2,2)", build_grouped_wcm((3, 3, 2, 2)).inner),
+        ("inner (1,1,1,1)", build_triangle(build_grouped_wcm((1, 1, 1, 1)).aggregates)),
+        ("inner (3,3,2,2)", build_triangle(build_grouped_wcm((3, 3, 2, 2)).aggregates)),
     ]
 
 

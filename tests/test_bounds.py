@@ -10,28 +10,23 @@ from hypothesis import strategies as st
 
 from helpers import (
     ColumnPermutedSampler,
+    ComonotonicCopula,
+    IndependenceCopula,
     MixtureSampler,
     batch_moments_oracle,
+    covariance_identity_check,
+    lemma_m_check,
     mc_variance_unscaled_oracle,
 )
 from wcm.bounds import (
     MC_BATCH,
     _batch_moments,
     _draw_dots,
-    covariance_identity_check,
-    lemma_m_check,
     mc_variance,
     optimal_coupling,
     variance_bound_report,
 )
-from wcm.copula import (
-    ComonotonicCopula,
-    CountermonotonicPair,
-    GroupedWCMCopula,
-    IndependenceCopula,
-    build_grouped_wcm,
-    make_rng,
-)
+from wcm.copula import build_grouped_wcm, make_rng
 from wcm.errors import DimensionError, DomainError
 from wcm.weights import variance_lower_bound
 
@@ -39,18 +34,18 @@ from wcm.weights import variance_lower_bound
 class TestOptimalCoupling:
     def test_shrunken_triple(self):
         coupling, predicted = optimal_coupling((5, 1, 1))
-        assert isinstance(coupling, GroupedWCMCopula)
+        assert coupling.construction == "grouped"
         assert sorted(coupling.weights) == [1.0, 1.0, 2.0]
         assert predicted == pytest.approx(0.75, abs=1e-15)
 
     def test_existent_weights_predict_zero(self):
         coupling, predicted = optimal_coupling((1, 1, 1))
         assert predicted == 0.0
-        assert coupling.inner.weights == (1.0, 1.0, 1.0)
+        assert coupling.aggregates == (1.0, 1.0, 1.0)
 
     def test_pair(self):
         coupling, predicted = optimal_coupling((2, 1))
-        assert isinstance(coupling, CountermonotonicPair)
+        assert coupling.construction == "countermonotonic"
         assert predicted == pytest.approx(1.0 / 12.0, abs=1e-15)
 
     def test_coupling_variance_formula(self):
@@ -187,7 +182,7 @@ class TestCovarianceIdentity:
         assert covariance_identity_check(s, (1, 1)) < 1e-10
 
     def test_countermonotonic_pair_value(self):
-        s = CountermonotonicPair((1.0, 1.0)).sample(200_000, seed=62)
+        s = build_grouped_wcm((1, 1)).sample(200_000, seed=62)
         sums = s.values @ np.ones(2)
         assert np.var(sums, ddof=1) == pytest.approx(0.0, abs=1e-12)
         assert covariance_identity_check(s, (1, 1)) < 1e-10
@@ -208,7 +203,7 @@ class TestLemmaM:
         assert lemma_m_check(s, (2, 1, 1)) == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_countermonotonic_pair_is_zero(self):
-        s = CountermonotonicPair((1.0, 1.0)).sample(50_000, seed=72)
+        s = build_grouped_wcm((1, 1)).sample(50_000, seed=72)
         assert abs(lemma_m_check(s, (1, 1))) < 1e-15
 
     def test_precondition(self):

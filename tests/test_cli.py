@@ -681,3 +681,18 @@ def test_only_the_cli_writers_write_files_or_attach_manifests():
         if _writes_a_file(call) or getattr(call.func, "id", None) == "_manifest"
     }
     assert found == {("cli.py", "_emit_json"), ("cli.py", "_write_with_manifest")}
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private helper is its module's own: another module that needs it asks
+    # for a public name instead
+    found = [
+        (path.name, node.module, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("wcm"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert found == []

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ComonotonicCopula,
+    IndependenceCopula,
+    countermonotonic_cdf_oracle,
     csv_oracle,
     empirical_cdf_on_grid,
+    frechet_bounds,
     grouped_sample_oracle,
     ks_critical_1pct,
     ks_uniform_statistic,
@@ -22,16 +26,12 @@ from wcm.bounds import MC_BATCH, optimal_coupling
 from wcm.copula import (
     _CSV_BLOCK,
     _DRAW_BLOCK,
-    ComonotonicCopula,
-    CountermonotonicPair,
     GroupedWCMCopula,
-    IndependenceCopula,
     SampleMatrix,
     build_grouped_wcm,
     build_triangle,
     check_wcm,
     edge_masses,
-    frechet_bounds,
     make_rng,
     spawn_rngs,
     triangle_params,
@@ -54,23 +54,19 @@ draw_sizes = st.one_of(
     st.integers(min_value=1, max_value=3000),
     st.sampled_from([_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3, MC_BATCH]),
 )
-# Copulas whose triangle puts all its mass on one edge, on each of the three
-# edges between them: both variants of the degenerate triples, and the optimal
-# couplings of weights with an oversized one.
+# Copulas whose mass sits on one segment: triangles with all their mass on one
+# edge, on each of the three edges between them (both variants of the
+# degenerate triples, and the optimal couplings of weights with an oversized
+# one), and countermonotonic pairs, which have one segment.
 FIXED_EDGE_CASES = ([(w, v) for w in [(2, 1, 1), (1, 2, 1), (1, 1, 2)] for v in "AB"]
-                    + [(w, "optimal") for w in [(5, 1, 1), (10, 2, 3, 1), (30, 1, 1, 1, 1)]])
+                    + [(w, "optimal") for w in [(5, 1, 1), (10, 2, 3, 1), (30, 1, 1, 1, 1),
+                                                (1, 1), (2.5, 2.5)]])
 
 
-def fixed_edge_draw(case):
-    """``(copula, triangle, cols)`` of a ``FIXED_EDGE_CASES`` entry, with the
-    ``cols`` its ``sample`` passes to the triangle's ``_draw``."""
+def fixed_edge_copula(case):
+    """The copula of a ``FIXED_EDGE_CASES`` entry."""
     w, variant = case
-    if variant != "optimal":
-        tri = build_triangle(w, variant)
-        return tri, tri, (0, 1, 2)
-    g = optimal_coupling(w)[0]
-    col_of = {i: col for col, group in enumerate(g.groups) for i in group}
-    return g, g.inner, [col_of[i] for i in range(g.d)]
+    return optimal_coupling(w)[0] if variant == "optimal" else build_triangle(w, variant)
 
 
 class TestTriangleParams:
@@ -266,8 +262,8 @@ MARGINAL_CASES = [
     ("triangle (5,4,3) A", lambda: build_triangle((5, 4, 3), "A")),
     ("triangle (5,4,3) B", lambda: build_triangle((5, 4, 3), "B")),
     ("triangle (1,1,1) A", lambda: build_triangle((1, 1, 1), "A")),
-    ("inner of (1,1,1,1)", lambda: build_grouped_wcm((1, 1, 1, 1)).inner),
-    ("inner of (3,3,2,2)", lambda: build_grouped_wcm((3, 3, 2, 2)).inner),
+    ("inner of (1,1,1,1)", lambda: build_triangle(build_grouped_wcm((1, 1, 1, 1)).aggregates)),
+    ("inner of (3,3,2,2)", lambda: build_triangle(build_grouped_wcm((3, 3, 2, 2)).aggregates)),
     ("grouped (1,1,1,1)", lambda: build_grouped_wcm((1, 1, 1, 1))),
     ("grouped (3,3,2,2)", lambda: build_grouped_wcm((3, 3, 2, 2))),
 ]
@@ -362,7 +358,7 @@ class TestSampling:
     @pytest.mark.parametrize("w", [(1, 1, 1, 1), (3, 3, 2, 2), (5, 4, 3), (6, 5, 4, 3, 3, 2, 2)])
     def test_grouped_gather_matches_column_copy(self, w):
         g = build_grouped_wcm(w)
-        inner = triangle_draw_oracle(g.inner, make_rng(8), 1000)
+        inner = triangle_draw_oracle(build_triangle(g.aggregates), make_rng(8), 1000)
         expected = np.empty((1000, g.d))
         for col, group in enumerate(g.groups):
             for i in group:
@@ -403,16 +399,24 @@ class TestSampling:
     )
     @settings(max_examples=8, deadline=None)
     def test_fixed_edge_draw_matches_oracle_and_stream(self, case, n, seed):
-        # All mass on one edge: the edge uniforms are skipped, not drawn, yet
-        # the bits and the generator's state after the draw are the oracle's.
-        copula, tri, cols = fixed_edge_draw(case)
-        assert sorted(tri.masses) == [0.0, 0.0, 1.0]
+        # All mass on one segment: the segment uniforms are skipped, not drawn,
+        # yet the bits and the generator's state after the draw are the
+        # oracle's.  A lone segment neither draws nor advances them.
+        copula = fixed_edge_copula(case)
         rng, oracle_rng = make_rng(seed), make_rng(seed)
-        values = tri._draw(rng, n, cols)
-        expected = triangle_draw_oracle(tri, oracle_rng, n)[:, cols]
+        values = copula._draw(rng, n)
+        if copula.construction == "countermonotonic":
+            t = oracle_rng.random(n)
+            expected = np.column_stack([t, 1.0 - t])
+        else:
+            tri = copula if copula.construction == "triangle" else build_triangle(copula.aggregates)
+            assert sorted(tri.masses) == [0.0, 0.0, 1.0]
+            cols = [g for i in range(copula.d)
+                    for g, group in enumerate(copula.groups) if i in group]
+            expected = triangle_draw_oracle(tri, oracle_rng, n)[:, cols]
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        if isinstance(copula, GroupedWCMCopula):
+        if copula.construction == "grouped":
             grouped = grouped_sample_oracle(copula, n, seed)
             assert np.array_equal(copula.sample(n, seed).values.view(np.uint64),
                                   grouped.view(np.uint64))
@@ -455,7 +459,7 @@ class TestSampling:
                 # A draw whose mass sits on one edge skips its edge uniforms.
                 self.random(n)
 
-        values = tri._draw(Replay(), len(u), (0, 1, 2))
+        values = tri._draw(Replay(), len(u))
         expected = triangle_draw_oracle(tri, Replay(), len(u))
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
@@ -502,11 +506,12 @@ class TestSampling:
     [
         build_triangle((5, 4, 3), "B"),
         build_grouped_wcm((3, 3, 2, 2)),
-        CountermonotonicPair((1.0, 1.0)),
+        build_grouped_wcm((1, 1)),
         ComonotonicCopula(3),
         IndependenceCopula(3),
     ],
-    ids=lambda c: type(c).__name__,
+    ids=["TriangleCopula", "GroupedWCMCopula", "CountermonotonicPair", "ComonotonicCopula",
+         "IndependenceCopula"],
 )
 def test_every_copula_rejects_nonpositive_sample_size(copula, n):
     with pytest.raises(DimensionError):
@@ -516,20 +521,43 @@ def test_every_copula_rejects_nonpositive_sample_size(copula, n):
 class TestGrouped:
     def test_equal_quadruple_structure(self):
         g = build_grouped_wcm((1, 1, 1, 1))
-        assert isinstance(g, GroupedWCMCopula)
+        assert g.construction == "grouped"
         assert g.groups == ((0,), (2,), (1, 3))
-        assert g.inner.weights == (1.0, 1.0, 2.0)
+        assert g.aggregates == (1.0, 1.0, 2.0)
 
     def test_partition_must_cover_every_coordinate(self):
-        inner = build_triangle((1, 1, 1))
+        tri = build_triangle((1, 1, 1))
         for groups in (((0,), (1,), (2,)), ((0,), (1, 2), (2, 3)), ((0, 1), (2, 3), ()),
                        ((0, 1), (2, 3))):
             with pytest.raises(DimensionError):
-                GroupedWCMCopula((1.0, 1.0, 1.0, 1.0), groups, inner)
+                GroupedWCMCopula((1.0, 1.0, 1.0, 1.0), groups, tri.vertices, tri.masses, "grouped")
+
+    def test_segments_vertices_and_groups_must_fit_together(self):
+        tri = build_triangle((1, 1, 1))
+        groups = ((0,), (1,), (2,))
+        for vertices, masses in ((tri.vertices, tri.masses[:2] + (0.0, 0.0)),
+                                 (tri.vertices, (1.0,)),
+                                 (tri.vertices[:2], tri.masses),
+                                 (tri.vertices[:2], (0.5, 0.5)),
+                                 (tri.vertices + tri.vertices[:1], tri.masses + (0.0,)),
+                                 (tuple(p[:2] for p in tri.vertices), tri.masses)):
+            with pytest.raises(DimensionError):
+                GroupedWCMCopula(tri.weights, groups, vertices, masses, "triangle")
+
+    def test_vertices_off_the_aggregate_hyperplane_do_not_exist(self):
+        # A (1, 1, 1) triangle under the aggregates (1, 1, 2), and a pair of
+        # unequal weights: no sample of either lies on ``w . u == sum(w) / 2``.
+        tri = build_triangle((1, 1, 1))
+        with pytest.raises(ExistenceError, match="hyperplane"):
+            GroupedWCMCopula((1.0, 1.0, 1.0, 1.0), ((0,), (1,), (2, 3)), tri.vertices, tri.masses,
+                             "grouped")
+        with pytest.raises(ExistenceError, match="hyperplane"):
+            GroupedWCMCopula((1.0, 2.0), ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
+                             "countermonotonic")
 
     def test_543_aggregates(self):
         g = build_grouped_wcm((5, 4, 3))
-        assert g.inner.weights == (5.0, 3.0, 4.0)
+        assert g.aggregates == (5.0, 3.0, 4.0)
 
     def test_existence_error_reports_deficit(self):
         with pytest.raises(ExistenceError, match="2\\*max - sum = 3"):
@@ -543,11 +571,19 @@ class TestGrouped:
 
     def test_pair_reduces_to_countermonotonic(self):
         pair = build_grouped_wcm((1, 1))
-        assert isinstance(pair, CountermonotonicPair)
+        assert pair.construction == "countermonotonic"
         values = pair.sample(1000, seed=5).values
         assert np.array_equal(values[:, 1], 1.0 - values[:, 0])
         assert pair.cdf((0.7, 0.6)) == pytest.approx(0.3, abs=1e-12)
         assert pair.cdf((0.2, 0.3)) == 0.0
+
+    @given(st.sampled_from([(1, 1), (2.5, 2.5), (1e-300, 1e-300)]),
+           st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_pair_cdf_is_within_2_pow_minus_52_of_the_oracle(self, w, u):
+        # The segment form computes u1 - (1 - u2); it and max(u1 + u2 - 1, 0)
+        # each land within 2^-53 of the exact value.
+        assert abs(build_grouped_wcm(w).cdf(u) - countermonotonic_cdf_oracle(u)) <= 2.0**-52
 
 
 class TestCheckWcm:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import MixtureSampler, gaussian_copula_sample, spearman_oracle
+from helpers import (ComonotonicCopula, IndependenceCopula, MixtureSampler, gaussian_copula_sample,
+                     spearman_oracle)
 from wcm.bounds import optimal_coupling
-from wcm.copula import ComonotonicCopula, IndependenceCopula, build_grouped_wcm, build_triangle
+from wcm.copula import build_grouped_wcm, build_triangle
 from wcm.errors import (
     DegenerateDataError,
     DimensionError,

@@ -1,5 +1,6 @@
-"""The example scripts run end to end and write the CSV headers they document;
-the rolling SIX demo writes the bytes ``wcm six`` prints for its prices."""
+"""The example scripts and the README's library quick start run end to end;
+the scripts write the CSV headers they document, and the rolling SIX demo
+writes the bytes ``wcm six`` prints for its prices."""
 
 import os
 import subprocess
@@ -48,3 +49,11 @@ def test_rhix_vs_six_sweep(tmp_path):
     expected = ["sigma"] + [f"rhix_{r}" for r in levels] + [f"six_{r}" for r in levels]
     assert header(out) == ",".join(expected)
     assert len(out.read_text().splitlines()) == 1 + 50  # sigma 0.1 to 5.0 by 0.1
+
+
+def test_readme_library_quick_start_runs():
+    # The block calls the package as a reader would, so it fails when a name it
+    # cites is removed or renamed.
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
