@@ -92,38 +92,11 @@ def _draw_dots(sampler: Sampler, weights: np.ndarray, n: int, rng: np.random.Gen
     return sample_values(sampler.sample(n, seed), len(weights)) @ weights
 
 
-def _batch_moments(x: np.ndarray) -> tuple[int, float, float, float, float]:
-    """``(n, mean, M2, M3, M4)`` of one batch; the cube and the fourth power
-    overwrite the deviations and their squares once each is summed."""
-    n = len(x)
-    mean = float(x.mean())
-    d = x - mean
-    d2 = d * d
-    m2 = float(d2.sum())
-    m3 = float(np.multiply(d, d2, out=d).sum())
-    return n, mean, m2, m3, float(np.multiply(d2, d2, out=d2).sum())
-
-
-def _combine(a, b):
-    """Merge two (n, mean, M2, M3, M4) central-moment accumulators exactly."""
-    na, ma, m2a, m3a, m4a = a
-    nb, mb, m2b, m3b, m4b = b
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * nb / n
-    m2 = m2a + m2b + delta**2 * na * nb / n
-    m3 = (
-        m3a + m3b
-        + delta**3 * na * nb * (na - nb) / n**2
-        + 3.0 * delta * (na * m2b - nb * m2a) / n
-    )
-    m4 = (
-        m4a + m4b
-        + delta**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
-        + 6.0 * delta**2 * (na * na * m2b + nb * nb * m2a) / n**2
-        + 4.0 * delta * (na * m3b - nb * m3a) / n
-    )
-    return n, mean, m2, m3, m4
+def _batch_sums(dots: np.ndarray, mean: float) -> tuple[float, float]:
+    """``(sum d^2, sum d^4)`` of one batch's deviations ``d = dots - mean``;
+    the deviations, then their squares, overwrite ``dots``."""
+    d2 = np.square(np.subtract(dots, mean, out=dots), out=dots)
+    return float(d2.sum()), float(np.square(d2, out=d2).sum())
 
 
 def mc_variance(
@@ -133,16 +106,15 @@ def mc_variance(
     seed: int,
     threads: int = 1,
 ) -> tuple[float, float]:
-    """Unbiased sample variance of ``w . u`` over ``n`` draws, with its
-    standard error.
+    """``(sum(d^2) / n, sqrt((sum(d^4) / n - estimate^2) / n))``: the unbiased
+    variance of ``w . U`` over ``n`` draws and its standard error, where ``d``
+    is the deviation from the known mean ``sum(w) / 2``.  ``sampler`` is a
+    copula, and its uniform marginals make that mean exact for any dependence.
 
-    Draws arrive in batches of ``MC_BATCH`` on independent child streams;
-    per-batch central moments are merged in batch order, so the result does
-    not depend on the thread count.  The standard error uses the fourth
-    central moment: ``sqrt((m4 - m2^2 (n-3)/(n-1)) / n)``.  The dots use the
-    ``unit_scaled`` weights and both results are scaled back: every step is
-    exact under a power-of-two scaling, so ordinary weights keep their bits,
-    and the moments of weights such as 1e154 or 1e-154 stay finite and nonzero.
+    Batches of ``MC_BATCH`` draws use independent child streams, and their
+    sums are added with ``fsum``, so the thread count changes no bit.  The
+    dots use the ``unit_scaled`` weights and both results are scaled back:
+    exact for ordinary weights, and finite and nonzero for 1e154 or 1e-154.
     """
     if n < 2:
         raise DimensionError(f"variance needs n >= 2, got {n}")
@@ -150,24 +122,20 @@ def mc_variance(
         raise DomainError(f"threads must be >= 1, got {threads}")
     values, shift = unit_scaled(w)
     weights = np.array(values)
+    mean = 0.5 * math.fsum(values)
     sizes = [MC_BATCH] * (n // MC_BATCH)
     if n % MC_BATCH:
         sizes.append(n % MC_BATCH)
     rngs = spawn_rngs(seed, len(sizes))
 
     def one(i: int):
-        return _batch_moments(_draw_dots(sampler, weights, sizes[i], rngs[i]))
+        return _batch_sums(_draw_dots(sampler, weights, sizes[i], rngs[i]), mean)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(one, range(len(sizes))))
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = _combine(acc, part)
-    total, _, m2_sum, _, m4_sum = acc
-    estimate = m2_sum / (total - 1)
-    m2 = m2_sum / total
-    m4 = m4_sum / total
-    se = math.sqrt(max(0.0, m4 - m2 * m2 * (total - 3) / (total - 1)) / total)
+    s2, s4 = (math.fsum(column) for column in zip(*parts))
+    estimate = s2 / n
+    se = math.sqrt(max(0.0, s4 / n - estimate * estimate) / n)
     return math.ldexp(estimate, -2 * shift), math.ldexp(se, -2 * shift)
 
 
@@ -179,12 +147,14 @@ def variance_bound_report(
 ) -> VarianceBoundReport:
     """Assemble exact bounds and, optionally, a Monte Carlo estimate of the
     variance of the optimal coupling.  A bad ``seed`` or ``threads`` is a
-    :class:`DomainError` even with no estimate asked for."""
+    :class:`DomainError` even with no estimate asked for.  The bounds come
+    first: if ``sum(w)^2`` fits a float, so does the estimate."""
     wv = as_weight_vector(w)
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     if seed is not None and seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    lower, upper = variance_lower_bound(wv), variance_upper_bound(wv)
     shrunk = shrink_weights(wv)
     if validate_wcm_existence(wv):
         attained = f"weighted-countermonotonic coupling on {wv.values} (constant sum)"
@@ -202,8 +172,8 @@ def variance_bound_report(
         mc = McEstimate(n=mc_n, estimate=estimate, stderr=se, seed=seed)
     return VarianceBoundReport(
         weights=wv.values,
-        lower=variance_lower_bound(wv),
-        upper=variance_upper_bound(wv),
+        lower=lower,
+        upper=upper,
         attained_by=attained,
         mc=mc,
     )

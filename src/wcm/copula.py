@@ -40,6 +40,7 @@ from .weights import (
     as_weight_vector,
     existence_deficit,
     partition_weights,
+    unit_scaled,
     validate_wcm_existence,
 )
 
@@ -250,15 +251,16 @@ class GroupedWCMCopula:
         for z in self.z_values:
             if not (0.0 <= z <= 1.0):
                 raise DomainError(f"z-value {z!r} outside [0, 1]")
-        aggregates = self.aggregates
-        s1 = math.fsum(aggregates)
+        # scaled by a power of two: the same relative tolerance at any scale
+        scaled, shift = unit_scaled(self.aggregates)
+        s1 = math.fsum(scaled)
         tol = CONSTRUCTION_TOL * max(1.0, s1)
         for p in self.vertices:
-            dot = math.fsum(wi * pi for wi, pi in zip(aggregates, p))
+            dot = math.fsum(wi * pi for wi, pi in zip(scaled, p))
             if abs(dot - 0.5 * s1) > tol:
                 raise ExistenceError(
                     f"vertex {p!r} misses the support hyperplane of the aggregate weights "
-                    f"{aggregates} by {dot - 0.5 * s1:.3g}"
+                    f"{self.aggregates} by {math.ldexp(dot - 0.5 * s1, -shift):.3g}"
                 )
 
     @property
@@ -446,13 +448,13 @@ def check_wcm(
     samples: "SampleMatrix | np.ndarray",
     w: "WeightVector | Iterable[float]",
 ) -> tuple[bool, float]:
-    """Verify the support constraint ``|w . u - sum(w)/2| <= SUPPORT_TOL`` row by row.
-
-    Returns ``(ok, max_deviation)``.
-    """
+    """``(ok, max_deviation)``: row by row, ``|w . u - sum(w)/2|`` against
+    ``SUPPORT_TOL * min(1, sum(w))``, with the dots on the ``unit_scaled`` weights."""
     wv = as_weight_vector(w)
     values = sample_values(samples, wv.d)
-    dots = values @ np.array(wv.values)
-    max_dev = float(np.max(np.abs(dots - 0.5 * wv.s1))) if len(dots) else 0.0
-    return max_dev <= SUPPORT_TOL, max_dev
+    scaled, shift = unit_scaled(wv)
+    dots = values @ np.array(scaled)
+    dev = float(np.max(np.abs(dots - 0.5 * math.fsum(scaled)))) if len(dots) else 0.0
+    max_dev = math.ldexp(dev, -shift)
+    return max_dev <= SUPPORT_TOL * min(1.0, wv.s1), max_dev
 

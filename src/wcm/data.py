@@ -78,8 +78,10 @@ class PriceSeries:
         if np.any(prices <= 0.0) or not np.all(np.isfinite(prices)):
             raise DomainError("prices must be finite and strictly positive")
         for a, b in zip(self.dates, self.dates[1:]):
+            if a == b:
+                raise DomainError(f"duplicate date {a}")
             if not a < b:
-                raise DomainError(f"dates must be strictly increasing ({a} then {b})")
+                raise DomainError(f"dates are not sorted ({a} then {b}); refusing to reorder")
         if self.market_index is not None:
             idx = np.asarray(self.market_index, dtype=float)
             if idx.shape != (len(self.dates),):
@@ -156,14 +158,6 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         table = table[usable]
     if not rows:
         raise DomainError(f"{path}: no usable rows")
-    dates = [date for _, _, date in rows]
-    seen = set()
-    for date in dates:
-        if date in seen:
-            raise DomainError(f"{path}: duplicate date {date}")
-        seen.add(date)
-    if dates != sorted(dates):
-        raise DomainError(f"{path}: dates are not sorted; refusing to reorder")
     report = LoadReport(rows_read=rows_read, rows_kept=len(rows),
                         dropped=tuple((text, reason) for _, text, reason in dropped))
     market_index = None
@@ -173,7 +167,7 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         table = np.delete(table, pos, axis=1)
         tickers = tickers[:pos] + tickers[pos + 1:]
     return PriceSeries(
-        dates=tuple(dates),
+        dates=tuple(date for _, _, date in rows),
         tickers=tuple(tickers),
         prices=table,
         market_index=market_index,

@@ -339,7 +339,13 @@ def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
         raise ModelError(f"correlation must lie in [-1, 1], got {rho!r}")
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ModelError("volatilities must be positive")
-    return math.expm1(rho * sigma1 * sigma2) / math.expm1(sigma1 * sigma2)
+    try:
+        ceiling = math.expm1(sigma1 * sigma2)
+    except OverflowError:
+        ceiling = math.inf
+    if not 0.0 < ceiling < math.inf:
+        raise ModelError(f"exp(sigma1*sigma2) - 1 is 0 or inf at sigmas {sigma1!r}, {sigma2!r}")
+    return math.expm1(rho * sigma1 * sigma2) / ceiling
 
 
 def rhix_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
@@ -361,8 +367,10 @@ def rhix_degeneracy_curve(
     """The covariance-ratio index along a common-volatility sweep.
 
     For ``0 < rho < 1`` the curve is strictly decreasing and tends to zero as
-    the volatility grows (asserted), even though the copula never changes:
-    the index is driven by the marginals.
+    the volatility grows, even though the copula never changes: the index is
+    driven by the marginals.  A grid on which the floats do not decrease
+    strictly, as where the ratio rounds to ``rho`` near ``sigma = 0``, is a
+    :class:`ModelError`.
     """
     if not -1.0 < rho < 1.0:
         raise ModelError(f"|rho| must be < 1 for the degeneracy sweep, got {rho!r}")
@@ -374,7 +382,5 @@ def rhix_degeneracy_curve(
         ordered = sorted(curve)
         for (s0, v0), (s1, v1) in zip(ordered, ordered[1:]):
             if not v1 < v0:
-                raise AssertionError(
-                    f"curve not strictly decreasing at sigma={s1} ({v0} -> {v1})"
-                )
+                raise ModelError(f"curve not strictly decreasing at sigma={s1} ({v0} -> {v1})")
     return curve

@@ -1,14 +1,14 @@
 """Shared test utilities: uniformity statistics, reference copulas and
 samplers (the comonotonic, independence and Gaussian copulas among them), the
 Frechet bounds, the covariance-identity and Lemma M sample checks, the
-countermonotonic pair's CDF as first written, the brute-force rank-correlation
-oracle, the
-per-pair loops and the pairs-tuple SIX average that the matrix kernels of
-``wcm.indices`` replaced, and the least-squares variant-B construction that
-the closed form of ``wcm.copula`` replaced, and the row-wise sample draw,
-gather and CSV writer that its column-wise path replaced, and the Monte Carlo
-variance on unscaled weights and the batch moments with fresh temporaries,
-kept as oracles."""
+countermonotonic pair's CDF and the absolute support check as first written,
+the brute-force rank-correlation oracle, the per-pair loops and the
+pairs-tuple SIX average that the matrix kernels of ``wcm.indices`` replaced,
+and the least-squares variant-B construction that the closed form of
+``wcm.copula`` replaced, and the row-wise sample draw, gather and CSV writer
+that its column-wise path replaced, and the Monte Carlo variance on unscaled
+weights, the per-batch sums with fresh temporaries, and the central-moment
+merge that the sums about the known mean replaced, kept as oracles."""
 
 from __future__ import annotations
 
@@ -22,11 +22,11 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
-from wcm.bounds import MC_BATCH, _combine, _draw_dots
-from wcm.copula import (SampleMatrix, _require_unit_cube, build_triangle, make_rng,
+from wcm.bounds import MC_BATCH, _draw_dots
+from wcm.copula import (SUPPORT_TOL, SampleMatrix, _require_unit_cube, build_triangle, make_rng,
                         sample_values, spawn_rngs)
 from wcm.errors import DegenerateDataError, DimensionError, DomainError, MassNormalizationError
-from wcm.weights import as_weight_vector
+from wcm.weights import as_weight_vector, unit_scaled
 
 
 def ks_uniform_statistic(x: np.ndarray) -> float:
@@ -95,6 +95,15 @@ def frechet_bounds(u) -> tuple[float, float]:
     _require_unit_cube(point, len(point))
     lower = max(math.fsum(point) - (len(point) - 1), 0.0)
     return lower, min(point)
+
+
+def check_wcm_absolute_oracle(samples, w) -> tuple[bool, float]:
+    """``wcm.copula.check_wcm`` as first written: the dots on the weights as
+    given, against the absolute ``SUPPORT_TOL``."""
+    wv = as_weight_vector(w)
+    dots = sample_values(samples, wv.d) @ np.array(wv.values)
+    max_dev = float(np.max(np.abs(dots - 0.5 * wv.s1))) if len(dots) else 0.0
+    return max_dev <= SUPPORT_TOL, max_dev
 
 
 def countermonotonic_cdf_oracle(u) -> float:
@@ -382,26 +391,82 @@ def csv_oracle(values: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def mc_variance_unscaled_oracle(sampler, w, n: int, seed: int) -> tuple[float, float]:
-    """``wcm.bounds.mc_variance`` as it was before it scaled the weights by a
-    power of two: the same batches, streams and moment merge on one thread,
-    with the dots taken on the weights as given."""
-    weights = np.array(as_weight_vector(w).values)
+def _batches(n: int, seed: int):
+    """``(size, rng)`` of each of ``mc_variance``'s batches."""
     sizes = [MC_BATCH] * (n // MC_BATCH) + ([n % MC_BATCH] if n % MC_BATCH else [])
+    return zip(sizes, spawn_rngs(seed, len(sizes)))
+
+
+def mc_variance_unscaled_oracle(sampler, w, n: int, seed: int) -> tuple[float, float]:
+    """``wcm.bounds.mc_variance`` without its power-of-two scaling: the same
+    batches, streams and sums about the known mean ``sum(w) / 2`` on one
+    thread, with the dots taken on the weights as given."""
+    wv = as_weight_vector(w)
+    weights, mean = np.array(wv.values), 0.5 * wv.s1
+    parts = [batch_sums_oracle(_draw_dots(sampler, weights, size, rng), mean)
+             for size, rng in _batches(n, seed)]
+    s2, s4 = (math.fsum(column) for column in zip(*parts))
+    estimate = s2 / n
+    return estimate, math.sqrt(max(0.0, s4 / n - estimate * estimate) / n)
+
+
+def batch_sums_oracle(x: np.ndarray, mean: float) -> tuple[float, float]:
+    """``wcm.bounds._batch_sums`` with a fresh array for each power of the
+    deviations, and ``x`` left as it is."""
+    d = x - mean
+    d2 = d * d
+    return float(d2.sum()), float((d2 * d2).sum())
+
+
+def central_moments_oracle(sampler, w, n: int, seed: int):
+    """The merged ``(n, mean, M2, M3, M4)`` of the dots of ``mc_variance``'s
+    draws, on its ``unit_scaled`` weights, and the scaling's ``shift``: the
+    accumulator ``wcm.bounds`` kept before it summed about the known mean."""
+    values, shift = unit_scaled(w)
+    weights = np.array(values)
     parts = [batch_moments_oracle(_draw_dots(sampler, weights, size, rng))
-             for size, rng in zip(sizes, spawn_rngs(seed, len(sizes)))]
-    total, _, m2_sum, _, m4_sum = reduce(_combine, parts)
+             for size, rng in _batches(n, seed)]
+    return reduce(_combine, parts), shift
+
+
+def mc_variance_central_oracle(sampler, w, n: int, seed: int) -> tuple[float, float]:
+    """``wcm.bounds.mc_variance`` as it was before it summed about the known
+    mean: the ``n - 1`` sample variance about the draws' own mean, and a
+    standard error from the fourth central moment."""
+    (total, _, m2_sum, _, m4_sum), shift = central_moments_oracle(sampler, w, n, seed)
     m2 = m2_sum / total
     m4 = m4_sum / total
     se = math.sqrt(max(0.0, m4 - m2 * m2 * (total - 3) / (total - 1)) / total)
-    return m2_sum / (total - 1), se
+    return math.ldexp(m2_sum / (total - 1), -2 * shift), math.ldexp(se, -2 * shift)
 
 
 def batch_moments_oracle(x: np.ndarray) -> tuple[int, float, float, float, float]:
-    """``wcm.bounds._batch_moments`` as first written: a fresh array for each
+    """``(n, mean, M2, M3, M4)`` of one batch, with a fresh array for each
     power of the deviations."""
     n = len(x)
     mean = float(x.mean())
     d = x - mean
     d2 = d * d
     return n, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum())
+
+
+def _combine(a, b):
+    """Merge two (n, mean, M2, M3, M4) central-moment accumulators exactly."""
+    na, ma, m2a, m3a, m4a = a
+    nb, mb, m2b, m3b, m4b = b
+    n = na + nb
+    delta = mb - ma
+    mean = ma + delta * nb / n
+    m2 = m2a + m2b + delta**2 * na * nb / n
+    m3 = (
+        m3a + m3b
+        + delta**3 * na * nb * (na - nb) / n**2
+        + 3.0 * delta * (na * m2b - nb * m2a) / n
+    )
+    m4 = (
+        m4a + m4b
+        + delta**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
+        + 6.0 * delta**2 * (na * na * m2b + nb * nb * m2a) / n**2
+        + 4.0 * delta * (na * m3b - nb * m3a) / n
+    )
+    return n, mean, m2, m3, m4

@@ -13,14 +13,16 @@ from helpers import (
     ComonotonicCopula,
     IndependenceCopula,
     MixtureSampler,
-    batch_moments_oracle,
+    batch_sums_oracle,
+    central_moments_oracle,
     covariance_identity_check,
     lemma_m_check,
+    mc_variance_central_oracle,
     mc_variance_unscaled_oracle,
 )
 from wcm.bounds import (
     MC_BATCH,
-    _batch_moments,
+    _batch_sums,
     _draw_dots,
     mc_variance,
     optimal_coupling,
@@ -28,7 +30,7 @@ from wcm.bounds import (
 )
 from wcm.copula import build_grouped_wcm, make_rng
 from wcm.errors import DimensionError, DomainError
-from wcm.weights import variance_lower_bound
+from wcm.weights import unit_scaled, validate_wcm_existence, variance_lower_bound
 
 
 class TestOptimalCoupling:
@@ -119,16 +121,40 @@ class TestMcVariance:
            st.integers(-60, 60), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_batch_moments_give_the_oracle_bits(self, n, offset, exponent, seed):
-        # the powers of the deviations overwrite their buffers; the products are the same
+        # the deviations and their powers overwrite the batch; the products are the same
         x = offset + math.ldexp(1.0, exponent) * make_rng(seed).standard_normal(n)
-        assert [float(v).hex() for v in _batch_moments(x)] == \
-            [float(v).hex() for v in batch_moments_oracle(x)]
+        want = batch_sums_oracle(x, offset)
+        assert [v.hex() for v in _batch_sums(x, offset)] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("w", [(5, 1, 1), (5, 4, 3), (10, 2, 3, 1)])
     def test_batch_moments_of_coupling_dots_give_the_oracle_bits(self, w):
         dots = _draw_dots(optimal_coupling(w)[0], np.array(w, float), MC_BATCH, make_rng(3))
-        assert [float(v).hex() for v in _batch_moments(dots)] == \
-            [float(v).hex() for v in batch_moments_oracle(dots)]
+        want = batch_sums_oracle(dots, 0.5 * sum(w))
+        assert [v.hex() for v in _batch_sums(dots, 0.5 * sum(w))] == [v.hex() for v in want]
+
+    @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=5), st.integers(-150, 150),
+           st.one_of(st.integers(2, 3000), st.just(MC_BATCH + 3)), st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_known_mean_matches_the_central_moments(self, base, exponent, n, seed):
+        """``n * estimate == M2 + n * (mean - S1/2)^2``, with ``M2`` and ``mean``
+        the merged central moments of the same dots, in the units of the scaled
+        weights.  Their float mean is off by up to ``err``, which moves the
+        right side by up to ``2 n err (|mean - S1/2| + err)``: that matters
+        only next to the existence boundary, where the variance is tiny."""
+        w = [v * 10.0**exponent for v in base]
+        coupling, _ = optimal_coupling(w)
+        estimate, _ = mc_variance(coupling, w, n, seed)
+        (_, mean, m2, _, _), shift = central_moments_oracle(coupling, w, n, seed)
+        s1 = math.fsum(unit_scaled(w)[0])
+        new = math.ldexp(estimate, 2 * shift)
+        if validate_wcm_existence(w):
+            old = math.ldexp(mc_variance_central_oracle(coupling, w, n, seed)[0], 2 * shift)
+            assert max(new, old) < 1e-28 * s1 * s1
+            return
+        offset = abs(mean - 0.5 * s1)
+        err = 64 * 2.0**-52 * s1
+        assert n * new == pytest.approx(m2 + n * offset * offset,
+                                        rel=1e-12, abs=2 * n * err * (offset + err))
 
     @pytest.mark.parametrize("w", [(5, 1, 1), (4, 1, 1), (7, 2, 2), (2, 1), (1, 1, 1)])
     def test_coupling_within_five_se_of_bound(self, w):

@@ -290,7 +290,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("argv, digest", [
         ("bounds 2 1", "a15d47109a9be38bf9a5cea82f623c727cfbffc94ba95ea38622b6d949408c4f"),
         ("bounds 5 1 1 --mc 1000 --seed 1",
-         "0134d88648d6ce8a9153adbcc7b96f6961bd1f96e959b1893c85552c3da31e85"),
+         "866e94ecd66c69a2ef926c9be35e595dec8d5487cd15d10a3559d31b50dbe213"),
     ])
     def test_bounds_table_digest(self, capsys, argv, digest):
         assert main(argv.split()) == 0  # the table has no --out: that writes JSON
@@ -307,7 +307,7 @@ class TestGoldenOutputs:
         ("bounds 5 1 1 --json", "868d47d96b5a461203f328d82a246a7e121e3b499b5ec17087af51c880895e31",
          {}),
         ("bounds 5 1 1 --mc 1000 --seed 1 --json",
-         "5b054898a38f241333f52237625928ff56cadc3e708dec94e2180516351f956b",
+         "40b8377d6aea58fccdc70249aee0fd932629fc34bfa0768af7b7576a91b459d8",
          {"seed": 1, "generator": "pcg64"}),
         ("six PRICES --window 20 --step 5 --json",
          "acd8df0b444b15aa89df9c4ebd21409c5a3e312a53b3da1c6bc536113f068a42", SIX_COUNTS),
@@ -353,7 +353,7 @@ class TestGoldenOutputs:
         _, payload = run_json(capsys, ["bounds", "5", "1", "1", "--mc", "1000000", "--seed", "7",
                                        "--json", "--threads", threads])
         mc = payload["mc"]
-        assert (mc["estimate"], mc["stderr"]) == (0.7506236055863352, 0.0006710822794497262)
+        assert (mc["estimate"], mc["stderr"]) == (0.7506231278954463, 0.0006710818242886599)
 
 
 class TestBounds:
@@ -597,6 +597,17 @@ class TestCurve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("grid, sigma", [("26:28:1", "27.0"),
+                                             ("1e-9:2e-9:1e-10", "1.1000000000000001e-09")])
+    def test_grid_the_floats_cannot_carry_exits_one(self, capsys, grid, sigma):
+        # exp(sigma^2) overflows past sigma^2 ~ 709.78; the ratio rounds to rho near 0
+        assert main(["curve", "0.5", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ModelError"
+        assert sigma in error["message"]
 
 
 class TestUsageErrors:

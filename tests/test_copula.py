@@ -6,12 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     ComonotonicCopula,
     IndependenceCopula,
+    check_wcm_absolute_oracle,
     countermonotonic_cdf_oracle,
     csv_oracle,
     empirical_cdf_on_grid,
@@ -42,6 +43,7 @@ from wcm.errors import (
     ExistenceError,
     MassNormalizationError,
 )
+from wcm.weights import shrink_weights
 
 positive_weight = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
 triple_strategy = st.lists(
@@ -555,6 +557,17 @@ class TestGrouped:
             GroupedWCMCopula((1.0, 2.0), ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
                              "countermonotonic")
 
+    def test_unequal_pair_summing_below_the_tolerance_does_not_exist(self):
+        # the hyperplane check runs on the weights scaled by a power of two
+        with pytest.raises(ExistenceError, match="hyperplane"):
+            GroupedWCMCopula((1e-13, 2e-13), ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
+                             "countermonotonic")
+
+    @pytest.mark.parametrize("w", [(5e-320, 4e-320, 3e-320), (1e-310, 1e-310)])
+    def test_subnormal_weights_build_and_pass_check_wcm(self, w):
+        ok, dev = check_wcm(build_grouped_wcm(w).sample(2000, seed=9), w)
+        assert ok and dev == 0.0
+
     def test_543_aggregates(self):
         g = build_grouped_wcm((5, 4, 3))
         assert g.aggregates == (5.0, 3.0, 4.0)
@@ -606,6 +619,23 @@ class TestCheckWcm:
         s = IndependenceCopula(3).sample(10, seed=4)
         with pytest.raises(DimensionError):
             check_wcm(s, (1, 1))
+
+    def test_tolerance_is_relative_below_a_unit_sum(self):
+        # the countermonotonic pair's vertices miss (1e-13, 2e-13)'s hyperplane by 5e-14
+        ok, dev = check_wcm(np.array([[1.0, 0.0], [0.0, 1.0]]), (1e-13, 2e-13))
+        assert not ok and dev == pytest.approx(5e-14, rel=1e-12)
+
+    @given(st.lists(st.floats(1e-3, 1e300), min_size=2, max_size=6), st.booleans(),
+           st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_or_larger_sums_give_the_absolute_check_bits(self, w, on_support, seed):
+        if on_support:
+            w = shrink_weights(w).values
+        assume(math.fsum(w) >= 1.0)
+        copula = build_grouped_wcm(w) if on_support else IndependenceCopula(len(w))
+        s = copula.sample(500, seed)
+        got, want = check_wcm(s, w), check_wcm_absolute_oracle(s, w)
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
 
 
 @pytest.mark.parametrize("cls", [ComonotonicCopula, IndependenceCopula])
