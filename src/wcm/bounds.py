@@ -115,12 +115,14 @@ def mc_variance(
     sums are added with ``fsum``, so the thread count changes no bit.  The
     dots use the ``unit_scaled`` weights and both results are scaled back:
     exact for ordinary weights, and finite and nonzero for 1e154 or 1e-154.
+    A result that overflows a float when scaled back is a :class:`DomainError`.
     """
     if n < 2:
         raise DimensionError(f"variance needs n >= 2, got {n}")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    values, shift = unit_scaled(w)
+    wv = as_weight_vector(w)
+    values, shift = unit_scaled(wv)
     weights = np.array(values)
     mean = 0.5 * math.fsum(values)
     sizes = [MC_BATCH] * (n // MC_BATCH)
@@ -136,7 +138,11 @@ def mc_variance(
     s2, s4 = (math.fsum(column) for column in zip(*parts))
     estimate = s2 / n
     se = math.sqrt(max(0.0, s4 / n - estimate * estimate) / n)
-    return math.ldexp(estimate, -2 * shift), math.ldexp(se, -2 * shift)
+    try:
+        return math.ldexp(estimate, -2 * shift), math.ldexp(se, -2 * shift)
+    except OverflowError:
+        raise DomainError(
+            f"the Monte Carlo variance of the weights {wv.values} overflows a float") from None
 
 
 def variance_bound_report(

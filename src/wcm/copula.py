@@ -4,14 +4,15 @@ copulas.
 Every copula here is one type, :class:`GroupedWCMCopula`: a mixture of uniform
 laws on segments between vertices in the cube of the weight groups, read
 through a column map.  Every support point ``u`` satisfies
-``w . u == sum(w) / 2``.  For a weight triple ``(w1, w2, w3)`` forming
-(possibly degenerate) triangle side lengths, the segments are the three edges
-of a triangle inside the unit cube, in two inequivalent vertex layouts
-(variants "A" and "B"); both have exactly uniform marginals.  General
-dimension ``d >= 3`` partitions the weights into three groups, makes the
-coordinates within a group comonotonic, and couples the three group
-aggregates through a triangle.  For ``d == 2`` the construction exists only
-for equal weights: one segment from ``(1, 0)`` to ``(0, 1)``, the
+``w . u == sum(w) / 2``.  Every builder accepts exactly the weights that
+:func:`wcm.weights.validate_wcm_existence` accepts.  For a weight triple
+``(w1, w2, w3)`` that are the sides of a (possibly degenerate) triangle, the
+segments are the three edges of a triangle inside the unit cube, in two
+inequivalent vertex layouts (variants "A" and "B"); both have exactly uniform
+marginals.  General dimension ``d >= 3`` partitions the weights into three
+groups, makes the coordinates within a group comonotonic, and couples the
+three group aggregates through a triangle.  For ``d == 2`` the construction
+exists only for equal weights: one segment from ``(1, 0)`` to ``(0, 1)``, the
 countermonotonic pair.
 
 Randomness uses numpy's PCG64 generator seeded through ``SeedSequence``;
@@ -38,10 +39,9 @@ from .weights import (
     CONSTRUCTION_TOL,
     WeightVector,
     as_weight_vector,
-    existence_deficit,
     partition_weights,
+    require_wcm_existence,
     unit_scaled,
-    validate_wcm_existence,
 )
 
 __all__ = [
@@ -145,32 +145,11 @@ def triangle_params(w: Sequence[float]) -> tuple[float, float, float]:
     """Interior vertex coordinates for the triangle supporting a weight triple.
 
     Returns ``z1 = (w2+w3-w1)/(2*w2)``, ``z2 = (w3+w1-w2)/(2*w3)``,
-    ``z3 = (w1+w2-w3)/(2*w1)``; all lie in ``[0, 1]`` exactly when the triple
-    forms triangle side lengths.  Values within 1e-12 of the boundary are
-    clamped (degenerate triangles); anything further out raises.
+    ``z3 = (w1+w2-w3)/(2*w1)``; all lie in ``[0, 1]`` exactly when the weights
+    are the sides of a triangle, and they are the z-values of
+    :func:`build_triangle`, which clamps them to ``[0, 1]`` against rounding.
     """
-    wv = as_weight_vector(w)
-    if wv.d != 3:
-        raise DimensionError(f"triangle parameters need exactly 3 weights, got {wv.d}")
-    w1, w2, w3 = wv.values
-    # fsum keeps the numerator sign exact at the degenerate boundary
-    raw = (
-        math.fsum((w2, w3, -w1)) / (2.0 * w2),
-        math.fsum((w3, w1, -w2)) / (2.0 * w3),
-        math.fsum((w1, w2, -w3)) / (2.0 * w1),
-    )
-    return tuple(_clamp_unit(z, wv) for z in raw)  # type: ignore[return-value]
-
-
-def _clamp_unit(z: float, wv: WeightVector) -> float:
-    if z < 0.0 or z > 1.0:
-        if -CONSTRUCTION_TOL <= z <= 1.0 + CONSTRUCTION_TOL:
-            return min(1.0, max(0.0, z))
-        raise ExistenceError(
-            f"weights {wv.values} do not form triangle side lengths: "
-            f"2*max - sum = {existence_deficit(wv):.17g} > 0"
-        )
-    return z
+    return build_triangle(w).z_values  # type: ignore[return-value]
 
 
 def edge_masses(z: Sequence[float]) -> tuple[float, float, float]:
@@ -182,7 +161,7 @@ def edge_masses(z: Sequence[float]) -> tuple[float, float, float]:
         m23 = (abc - bc + b) / (abc + 1)
         m31 = (abc - ca + c) / (abc + 1)
 
-    For a z-triple derived from triangle side lengths the masses sum to one;
+    For a z-triple derived from the sides of a triangle the masses sum to one;
     an arbitrary z-triple generally fails that, in which case this raises
     rather than silently accepting an invalid copula.
     """
@@ -408,17 +387,24 @@ def build_triangle(w: Sequence[float], variant: str = "A") -> GroupedWCMCopula:
         raise DimensionError(f"triangle construction needs exactly 3 weights, got {wv.d}")
     if variant not in ("A", "B"):
         raise DomainError(f"variant must be 'A' or 'B', got {variant!r}")
-    # Also the existence check for "B", so its error names the weights as given.
-    z = triangle_params(wv)
+    # checked before "B" relabels them, so the error names the weights as given
+    return _triangle(require_wcm_existence(wv).values, variant)
+
+
+def _triangle(w: tuple[float, ...], variant: str) -> GroupedWCMCopula:
+    """:func:`build_triangle` on a triple already known to exist."""
     groups = ((0,), (1,), (2,))
+    w1, w2, w3 = w
     if variant == "A":
+        # fsum keeps the numerator sign exact at the degenerate boundary
+        z = tuple(min(1.0, max(0.0, math.fsum((b, c, -a)) / (2.0 * b)))
+                  for a, b, c in ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2)))
         vertices = ((1.0, z[0], 0.0), (0.0, 1.0, z[1]), (z[2], 0.0, 1.0))
-        return GroupedWCMCopula(wv.values, groups, vertices, edge_masses(z), "triangle", z, variant)
-    w1, w2, w3 = wv.values
-    a = build_triangle((w1, w3, w2), "A")
+        return GroupedWCMCopula(w, groups, vertices, edge_masses(z), "triangle", z, variant)
+    a = _triangle((w1, w3, w2), "A")
     p1, p2, p3 = ((p[0], p[2], p[1]) for p in a.vertices)
     (z1, z2, z3), (m12, m23, m31) = a.z_values, a.masses
-    return GroupedWCMCopula(wv.values, groups, (p1, p3, p2), (m31, m23, m12), "triangle",
+    return GroupedWCMCopula(w, groups, (p1, p3, p2), (m31, m23, m12), "triangle",
                             (z1, z3, z2), variant)
 
 
@@ -428,19 +414,16 @@ def build_grouped_wcm(w: "WeightVector | Iterable[float]") -> GroupedWCMCopula:
     Raises :class:`ExistenceError` (reporting ``2*max - sum``) when the
     criterion fails.  ``d == 2`` yields the countermonotonic pair, one segment
     from ``(1, 0)`` to ``(0, 1)``; ``d >= 3`` partitions the weights and
-    couples the three aggregates through a variant-A triangle.
+    couples the three aggregates through a variant-A triangle.  The check
+    runs on ``w`` only: an aggregate is an ``fsum`` of its group, so the
+    aggregates can fail it by one rounding where ``w`` passes.
     """
-    wv = as_weight_vector(w)
-    if not validate_wcm_existence(wv):
-        raise ExistenceError(
-            f"no weighted-countermonotonic copula exists for {wv.values}: "
-            f"2*max - sum = {existence_deficit(wv):.17g} > 0"
-        )
+    wv = require_wcm_existence(w)
     if wv.d == 2:
         return GroupedWCMCopula(wv.values, ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
                                 "countermonotonic")
     groups = partition_weights(wv)
-    triangle = build_triangle([math.fsum(wv.values[i] for i in g) for g in groups], variant="A")
+    triangle = _triangle(tuple(math.fsum(wv.values[i] for i in g) for g in groups), "A")
     return replace(triangle, weights=wv.values, groups=groups, construction="grouped")
 
 
@@ -449,12 +432,12 @@ def check_wcm(
     w: "WeightVector | Iterable[float]",
 ) -> tuple[bool, float]:
     """``(ok, max_deviation)``: row by row, ``|w . u - sum(w)/2|`` against
-    ``SUPPORT_TOL * min(1, sum(w))``, with the dots on the ``unit_scaled`` weights."""
+    ``SUPPORT_TOL * sum(w)``, with the dots on the ``unit_scaled`` weights."""
     wv = as_weight_vector(w)
     values = sample_values(samples, wv.d)
     scaled, shift = unit_scaled(wv)
     dots = values @ np.array(scaled)
     dev = float(np.max(np.abs(dots - 0.5 * math.fsum(scaled)))) if len(dots) else 0.0
     max_dev = math.ldexp(dev, -shift)
-    return max_dev <= SUPPORT_TOL * min(1.0, wv.s1), max_dev
+    return max_dev <= SUPPORT_TOL * wv.s1, max_dev
 

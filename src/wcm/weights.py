@@ -20,6 +20,7 @@ from .errors import DimensionError, DomainError, ExistenceError, InvalidWeightEr
 __all__ = [
     "WeightVector",
     "validate_wcm_existence",
+    "require_wcm_existence",
     "existence_deficit",
     "shrink_weights",
     "variance_lower_bound",
@@ -29,8 +30,8 @@ __all__ = [
     "CONSTRUCTION_TOL",
 ]
 
-#: Slack for consistency checks on derived quantities in the constructions;
-#: the user-facing existence test itself is evaluated exactly as written.
+#: Slack that absorbs rounding in quantities the constructions derive (edge
+#: masses, vertices on the hyperplane); it decides no existence.
 CONSTRUCTION_TOL = 1e-12
 
 
@@ -88,11 +89,25 @@ def validate_wcm_existence(w: "WeightVector | Iterable[float]") -> bool:
     """True iff a copula concentrated on ``w . u == sum(w)/2`` exists.
 
     The criterion is ``max(w) <= sum(w) - max(w)``; equality counts as
-    existent (degenerate triangle).  Evaluated exactly on the given binary
-    floats, with no epsilon.
+    existent (degenerate triangle).  It compares ``2*max(w)``, which is exact,
+    with the correctly rounded ``fsum(w)``, with no epsilon.  Every copula
+    builder follows this decision through :func:`require_wcm_existence`.
     """
     w = as_weight_vector(w)
     return 2.0 * w.wmax <= w.s1
+
+
+def require_wcm_existence(w: "WeightVector | Iterable[float]") -> WeightVector:
+    """``w`` as a :class:`WeightVector` when :func:`validate_wcm_existence`
+    holds; otherwise an :class:`ExistenceError` naming the weights as given
+    and their :func:`existence_deficit`."""
+    w = as_weight_vector(w)
+    if not validate_wcm_existence(w):
+        raise ExistenceError(
+            f"no weighted-countermonotonic copula exists for {w.values}: "
+            f"2*max - sum = {existence_deficit(w):.17g} > 0"
+        )
+    return w
 
 
 def existence_deficit(w: "WeightVector | Iterable[float]") -> float:
@@ -173,10 +188,6 @@ def partition_weights(
         raise DimensionError(
             "partition needs d >= 3; d == 2 is the countermonotonic special case"
         )
-    if not validate_wcm_existence(w):
-        raise ExistenceError(
-            f"no weighted-countermonotonic copula exists: 2*max - sum = "
-            f"{existence_deficit(w):.17g} > 0"
-        )
+    require_wcm_existence(w)
     order = sorted(range(w.d), key=lambda i: -w.values[i])
     return (order[0],), tuple(order[2::2]), tuple(order[1::2])

@@ -8,7 +8,8 @@ and the least-squares variant-B construction that the closed form of
 ``wcm.copula`` replaced, and the row-wise sample draw, gather and CSV writer
 that its column-wise path replaced, and the Monte Carlo variance on unscaled
 weights, the per-batch sums with fresh temporaries, and the central-moment
-merge that the sums about the known mean replaced, kept as oracles."""
+merge that the sums about the known mean replaced, kept as oracles; and
+weights next to the existence boundary."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
@@ -470,3 +472,24 @@ def _combine(a, b):
         + 4.0 * delta * (na * m3b - nb * m3a) / n
     )
     return n, mean, m2, m3, m4
+
+
+def _nudged(x: float, ulps: int) -> float:
+    """``x`` moved ``ulps`` floats up (or down, when negative)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+_SCALED = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-60, 60))
+
+
+@st.composite
+def boundary_weights(draw, sizes=st.integers(3, 6)) -> tuple[float, ...]:
+    """Weights whose largest lies within 2 ulps of the sum of the others, in
+    any position: the float sum of the other two for a triple, their ``fsum``
+    for 4 to 6 weights.  Each summand is ``m * 2**e`` with ``e`` in [-60, 60]."""
+    d = draw(sizes)
+    rest = draw(st.lists(_SCALED, min_size=d - 1, max_size=d - 1))
+    total = rest[0] + rest[1] if len(rest) == 2 else math.fsum(rest)
+    return tuple(draw(st.permutations([*rest, _nudged(total, draw(st.integers(-2, 2)))])))

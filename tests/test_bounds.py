@@ -117,6 +117,12 @@ class TestMcVariance:
         coupling, _ = optimal_coupling(w)
         assert mc_variance(coupling, w, 500, 7) == mc_variance_unscaled_oracle(coupling, w, 500, 7)
 
+    def test_estimate_that_overflows_when_scaled_back(self):
+        # rounding noise of ~1e-33 in scaled units, times 2**1330
+        w = (1e200,) * 3
+        with pytest.raises(DomainError, match="overflows"):
+            mc_variance(optimal_coupling(w)[0], w, 100, 1)
+
     @given(st.one_of(st.integers(1, 3000), st.just(MC_BATCH)), st.floats(-1e3, 1e3),
            st.integers(-60, 60), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)

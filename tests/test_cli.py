@@ -153,6 +153,30 @@ class TestConstruct:
         assert "2*max - sum" in err["message"]
 
 
+class TestExistenceNextToTheBoundary:
+    """Every command that builds a copula follows ``validate``."""
+
+    @pytest.mark.parametrize("command, tail", [("construct", []),
+                                               ("sample", ["--n", "3", "--seed", "0"]),
+                                               ("cdf", ["--", "0.5", "0.5", "0.5"])])
+    def test_weights_validate_rejects_do_not_build(self, capsys, command, tail):
+        weights = ["1", "1", "2.0000000000001"]
+        assert run_json(capsys, ["validate", *weights])[1]["exists"] is False
+        assert main([command, *weights, *tail]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ExistenceError"
+
+    @pytest.mark.parametrize("weights, command, tail", [
+        (["1.0000000000000002", "8.673617379884035e-19", "1"], "construct", []),
+        (["1.0000000000000002", "8.673617379884035e-19", "1"], "bounds",
+         ["--mc", "100", "--seed", "1", "--json"]),
+        (["4.1003319305359637e-13", "0.22539743365998377", "1.0406646288206348e-06",
+          "0.22539847432502264"], "sample", ["--n", "3", "--seed", "0"]),
+    ])
+    def test_weights_validate_accepts_build(self, capsys, weights, command, tail):
+        assert run_json(capsys, ["validate", *weights])[1]["exists"] is True
+        assert main([command, *weights, *tail]) == 0
+
+
 class TestCdf:
     def test_543_point(self, capsys):
         code, payload = run_json(

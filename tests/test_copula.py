@@ -6,12 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     ComonotonicCopula,
     IndependenceCopula,
+    boundary_weights,
     check_wcm_absolute_oracle,
     countermonotonic_cdf_oracle,
     csv_oracle,
@@ -27,6 +28,7 @@ from wcm.bounds import MC_BATCH, optimal_coupling
 from wcm.copula import (
     _CSV_BLOCK,
     _DRAW_BLOCK,
+    SUPPORT_TOL,
     GroupedWCMCopula,
     SampleMatrix,
     build_grouped_wcm,
@@ -43,14 +45,14 @@ from wcm.errors import (
     ExistenceError,
     MassNormalizationError,
 )
-from wcm.weights import shrink_weights
+from wcm.weights import existence_deficit, shrink_weights, validate_wcm_existence
 
 positive_weight = st.floats(min_value=0.05, max_value=50.0, allow_nan=False, allow_infinity=False)
 triple_strategy = st.lists(
     positive_weight,
     min_size=3,
     max_size=3,
-).map(tuple).filter(lambda w: 2 * max(w) <= sum(w))
+).map(tuple).filter(validate_wcm_existence)
 # Sample sizes inside one draw block and across its boundaries.
 draw_sizes = st.one_of(
     st.integers(min_value=1, max_value=3000),
@@ -599,6 +601,29 @@ class TestGrouped:
         assert abs(build_grouped_wcm(w).cdf(u) - countermonotonic_cdf_oracle(u)) <= 2.0**-52
 
 
+@given(boundary_weights())
+@example((1.0, 1.0, 2.0000000000001))
+@example((1.0000000000000002, 8.673617379884035e-19, 1.0))
+@example((4.1003319305359637e-13, 0.22539743365998377, 1.0406646288206348e-06,
+          0.22539847432502264))
+@settings(max_examples=300, deadline=None)
+def test_builders_accept_exactly_the_weights_validate_accepts(w):
+    # next to the boundary a builder's own arithmetic, or a check on the
+    # rounded group aggregates, must not overrule the one existence decision
+    exists = validate_wcm_existence(w)
+    builders = [build_grouped_wcm]
+    if len(w) == 3:
+        builders += [lambda w: build_triangle(w, "A"), lambda w: build_triangle(w, "B")]
+    for build in builders:
+        try:
+            copula = build(w)
+        except ExistenceError:
+            assert not exists and existence_deficit(w) > 0.0
+        else:
+            assert exists
+            assert check_wcm(copula.sample(200, seed=0), w)[1] <= 1e-12 * math.fsum(w)
+
+
 class TestCheckWcm:
     def test_grouped_passes(self):
         s = build_grouped_wcm((1, 1, 1, 1)).sample(10_000, seed=1)
@@ -629,13 +654,22 @@ class TestCheckWcm:
            st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_unit_or_larger_sums_give_the_absolute_check_bits(self, w, on_support, seed):
+        # the deviation keeps the bits of the absolute form; the tolerance scales with S1
         if on_support:
             w = shrink_weights(w).values
         assume(math.fsum(w) >= 1.0)
         copula = build_grouped_wcm(w) if on_support else IndependenceCopula(len(w))
         s = copula.sample(500, seed)
-        got, want = check_wcm(s, w), check_wcm_absolute_oracle(s, w)
-        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+        (ok, dev), want = check_wcm(s, w), check_wcm_absolute_oracle(s, w)
+        assert dev.hex() == want[1].hex()
+        assert ok == (dev <= SUPPORT_TOL * math.fsum(w))
+
+    @pytest.mark.parametrize("w, build", [((5e8, 4e8, 3e8), build_triangle),
+                                          ((6e9, 5e9, 4e9, 3e9), build_grouped_wcm)])
+    def test_large_weights_pass_with_rounding_relative_to_the_sum(self, w, build):
+        # deviations of 1.2e-7 and 1.9e-6 are ~1e-16 of S1, rounding of exact samples
+        ok, dev = check_wcm(build(w).sample(10_000, seed=1), w)
+        assert ok and 1e-9 < dev <= 1e-15 * math.fsum(w)
 
 
 @pytest.mark.parametrize("cls", [ComonotonicCopula, IndependenceCopula])
