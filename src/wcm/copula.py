@@ -9,11 +9,13 @@ through a column map.  Every support point ``u`` satisfies
 ``(w1, w2, w3)`` that are the sides of a (possibly degenerate) triangle, the
 segments are the three edges of a triangle inside the unit cube, in two
 inequivalent vertex layouts (variants "A" and "B"); both have exactly uniform
-marginals.  General dimension ``d >= 3`` partitions the weights into three
-groups, makes the coordinates within a group comonotonic, and couples the
-three group aggregates through a triangle.  For ``d == 2`` the construction
-exists only for equal weights: one segment from ``(1, 0)`` to ``(0, 1)``, the
-countermonotonic pair.
+marginals.  Its z-values and edge masses are ``build_triangle(w).z_values``
+and ``.masses``; the :class:`GroupedWCMCopula` constructor checks them, as
+it checks every copula, and no other code does.  General dimension
+``d >= 3`` partitions the weights into three groups, makes the coordinates
+within a group comonotonic, and couples the three group aggregates through
+a triangle.  For ``d == 2`` the construction exists only for equal weights:
+one segment from ``(1, 0)`` to ``(0, 1)``, the countermonotonic pair.
 
 Randomness uses numpy's PCG64 generator seeded through ``SeedSequence``;
 parallel batches draw from ``SeedSequence(seed).spawn(n_batches)`` so results
@@ -36,7 +38,6 @@ from .errors import (
     MassNormalizationError,
 )
 from .weights import (
-    CONSTRUCTION_TOL,
     WeightVector,
     as_weight_vector,
     partition_weights,
@@ -48,8 +49,6 @@ __all__ = [
     "GENERATOR_NAME",
     "SampleMatrix",
     "GroupedWCMCopula",
-    "triangle_params",
-    "edge_masses",
     "build_triangle",
     "build_grouped_wcm",
     "check_wcm",
@@ -62,6 +61,9 @@ GENERATOR_NAME = "pcg64"
 
 #: Sample-level support checks (accumulated rounding over linear combinations).
 SUPPORT_TOL = 1e-9
+#: Slack that absorbs rounding in quantities the constructions derive (edge
+#: masses, vertices on the hyperplane); it decides no existence.
+CONSTRUCTION_TOL = 1e-12
 
 _EDGE_LABELS = ("m12", "m23", "m31")
 _CSV_BLOCK = 1 << 10  # rows per block of CSV text (~230 KB at d = 12): bounds the strings held at once
@@ -141,54 +143,6 @@ def sample_values(samples: "SampleMatrix | np.ndarray", d: int) -> np.ndarray:
     return values
 
 
-def triangle_params(w: Sequence[float]) -> tuple[float, float, float]:
-    """Interior vertex coordinates for the triangle supporting a weight triple.
-
-    Returns ``z1 = (w2+w3-w1)/(2*w2)``, ``z2 = (w3+w1-w2)/(2*w3)``,
-    ``z3 = (w1+w2-w3)/(2*w1)``; all lie in ``[0, 1]`` exactly when the weights
-    are the sides of a triangle, and they are the z-values of
-    :func:`build_triangle`, which clamps them to ``[0, 1]`` against rounding.
-    """
-    return build_triangle(w).z_values  # type: ignore[return-value]
-
-
-def edge_masses(z: Sequence[float]) -> tuple[float, float, float]:
-    """Edge masses making the triangle's marginals uniform.
-
-    With ``a = 1-z1``, ``b = 1-z2``, ``c = 1-z3``::
-
-        m12 = (abc - ab + a) / (abc + 1)
-        m23 = (abc - bc + b) / (abc + 1)
-        m31 = (abc - ca + c) / (abc + 1)
-
-    For a z-triple derived from the sides of a triangle the masses sum to one;
-    an arbitrary z-triple generally fails that, in which case this raises
-    rather than silently accepting an invalid copula.
-    """
-    if len(z) != 3:
-        raise DimensionError(f"expected 3 z-values, got {len(z)}")
-    z1, z2, z3 = (float(v) for v in z)
-    for v in (z1, z2, z3):
-        if not (0.0 <= v <= 1.0):
-            raise DomainError(f"z-values must lie in [0, 1], got {v!r}")
-    a, b, c = 1.0 - z1, 1.0 - z2, 1.0 - z3
-    abc = a * b * c
-    denom = abc + 1.0
-    masses = (
-        (abc - a * b + a) / denom,
-        (abc - b * c + b) / denom,
-        (abc - c * a + c) / denom,
-    )
-    total = math.fsum(masses)
-    if abs(total - 1.0) > CONSTRUCTION_TOL:
-        raise MassNormalizationError(
-            f"edge masses sum to {total:.17g}, not 1: z={z!r} is not an admissible triple"
-        )
-    if min(masses) < -CONSTRUCTION_TOL:
-        raise MassNormalizationError(f"negative edge mass in {masses!r} for z={z!r}")
-    return tuple(max(0.0, m) for m in masses)  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class GroupedWCMCopula:
     """A weighted-countermonotonic copula: uniform laws on segments in the
@@ -226,10 +180,9 @@ class GroupedWCMCopula:
         if self.construction not in ("triangle", "grouped", "countermonotonic"):
             raise DomainError(f"unknown construction {self.construction!r}")
         if abs(math.fsum(self.masses) - 1.0) > CONSTRUCTION_TOL or min(self.masses) < 0.0:
-            raise MassNormalizationError(f"invalid edge masses {self.masses!r}")
-        for z in self.z_values:
-            if not (0.0 <= z <= 1.0):
-                raise DomainError(f"z-value {z!r} outside [0, 1]")
+            raise MassNormalizationError(f"edge masses {self.masses!r} must be >= 0 and sum to 1")
+        if not all(0.0 <= z <= 1.0 for z in self.z_values):
+            raise DomainError(f"z-values {self.z_values!r} outside [0, 1]")
         # scaled by a power of two: the same relative tolerance at any scale
         scaled, shift = unit_scaled(self.aggregates)
         s1 = math.fsum(scaled)
@@ -376,11 +329,15 @@ def build_triangle(w: Sequence[float], variant: str = "A") -> GroupedWCMCopula:
     """Construct the triangle copula for a weight triple.
 
     Variant "A" places vertices ``(1, z1, 0), (0, 1, z2), (z3, 0, 1)`` with
-    closed-form edge masses.  Variant "B" is its mirror image, variant A on
+    ``z1 = (w2+w3-w1)/(2*w2)``, ``z2 = (w3+w1-w2)/(2*w3)`` and
+    ``z3 = (w1+w2-w3)/(2*w1)``, each clamped to ``[0, 1]`` against rounding,
+    and the closed-form edge masses ``(m12, m23, m31)`` that make its
+    marginals uniform.  Variant "B" is its mirror image, variant A on
     ``(w1, w3, w2)`` with coordinates 2 and 3 swapped: vertices
     ``(1, 0, z1*), (z2*, 1, 0), (0, z3*, 1)``, with the z-values and the edge
     masses of that triangle relabeled to match.  Both are valid and differ as
-    functions: the construction is not unique.
+    functions: the construction is not unique.  The result's ``z_values`` and
+    ``masses`` are these numbers; its constructor checks them.
     """
     wv = as_weight_vector(w)
     if wv.d != 3:
@@ -400,12 +357,20 @@ def _triangle(w: tuple[float, ...], variant: str) -> GroupedWCMCopula:
         z = tuple(min(1.0, max(0.0, math.fsum((b, c, -a)) / (2.0 * b)))
                   for a, b, c in ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2)))
         vertices = ((1.0, z[0], 0.0), (0.0, 1.0, z[1]), (z[2], 0.0, 1.0))
-        return GroupedWCMCopula(w, groups, vertices, edge_masses(z), "triangle", z, variant)
+        return GroupedWCMCopula(w, groups, vertices, _edge_masses(z), "triangle", z, variant)
     a = _triangle((w1, w3, w2), "A")
     p1, p2, p3 = ((p[0], p[2], p[1]) for p in a.vertices)
     (z1, z2, z3), (m12, m23, m31) = a.z_values, a.masses
     return GroupedWCMCopula(w, groups, (p1, p3, p2), (m31, m23, m12), "triangle",
                             (z1, z3, z2), variant)
+
+
+def _edge_masses(z: tuple[float, ...]) -> tuple[float, ...]:
+    """The variant-A masses ``(m12, m23, m31)`` for the z-values, clamped at 0:
+    ``m12 = (abc - ab + a) / (abc + 1)`` with ``a, b, c = 1 - z``, and cyclically."""
+    a, b, c = (1.0 - v for v in z)
+    abc = a * b * c
+    return tuple(max(0.0, (abc - x * y + x) / (abc + 1.0)) for x, y in ((a, b), (b, c), (c, a)))
 
 
 def build_grouped_wcm(w: "WeightVector | Iterable[float]") -> GroupedWCMCopula:

@@ -318,18 +318,27 @@ def _covariance_ratio(
     lognormal prices, where ``Cov^c`` keeps the marginals and sets every copula
     correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``.
     The weights are scaled by ``unit_scaled``, which leaves the ratio as it
-    is but keeps ``w_i w_j`` from underflowing or overflowing."""
+    is but keeps ``w_i w_j`` from underflowing or overflowing.  A sum that
+    is not finite, or a denominator of 0, is a :class:`ModelError`."""
     wv = WeightVector(_scaled_weights(w))
     if wv.d != model.d:
         raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
     mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas
-    scale = np.outer(wv.values, wv.values) * np.exp(
-        mu[:, None] + mu[None, :] + 0.5 * (var[:, None] + var[None, :]))
     comonotone = np.outer(s, s)
     np.fill_diagonal(comonotone, var)
     terms = ~np.eye(wv.d, dtype=bool) | diagonal
-    num = math.fsum((scale * np.expm1(model.cov))[terms].tolist())
-    return num / math.fsum((scale * np.expm1(comonotone))[terms].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.outer(wv.values, wv.values) * np.exp(
+            mu[:, None] + mu[None, :] + 0.5 * (var[:, None] + var[None, :]))
+        parts = [(scale * np.expm1(c))[terms].tolist() for c in (model.cov, comonotone)]
+    try:  # fsum raises on inf - inf and on a finite sum past the float range
+        num, den = map(math.fsum, parts)
+    except (ValueError, OverflowError):
+        num = den = math.nan
+    if not (math.isfinite(num) and math.isfinite(den)) or den == 0.0:
+        raise ModelError(f"the covariance sums {num!r} and {den!r} give no finite ratio "
+                         f"at sigmas {tuple(s.tolist())}")
+    return num / den
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:

@@ -27,12 +27,7 @@ __all__ = [
     "variance_upper_bound",
     "partition_weights",
     "unit_scaled",
-    "CONSTRUCTION_TOL",
 ]
-
-#: Slack that absorbs rounding in quantities the constructions derive (edge
-#: masses, vertices on the hyperplane); it decides no existence.
-CONSTRUCTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,6 @@ class WeightVector:
     Derived quantities:
 
     - ``s1``: sum of the weights (correctly rounded via ``math.fsum``)
-    - ``s2``: sum of squared weights
     - ``wmax``: largest weight
     """
 
@@ -68,10 +62,6 @@ class WeightVector:
     @property
     def s1(self) -> float:
         return math.fsum(self.values)
-
-    @property
-    def s2(self) -> float:
-        return math.fsum(v * v for v in self.values)
 
     @property
     def wmax(self) -> float:

@@ -698,12 +698,15 @@ def _writes_a_file(call: ast.Call) -> bool:
 
 
 def _calls(node: ast.AST, scope: str = "<module>"):
-    """Every call under ``node`` with the name of the function (or class) that holds it."""
+    """Every call under ``node`` with the qualified name of the function (or
+    class) that holds it, such as ``"GroupedWCMCopula.__post_init__"``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             yield scope, child
-        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from _calls(child, child.name if named else scope)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+        else:
+            yield from _calls(child, scope)
 
 
 def test_only_the_cli_writers_write_files_or_attach_manifests():
@@ -716,6 +719,21 @@ def test_only_the_cli_writers_write_files_or_attach_manifests():
         if _writes_a_file(call) or getattr(call.func, "id", None) == "_manifest"
     }
     assert found == {("cli.py", "_emit_json"), ("cli.py", "_write_with_manifest")}
+
+
+def test_only_the_copula_constructor_and_the_existence_check_raise_construction_errors():
+    # every copula's masses, z-values and vertices are checked where it is made,
+    # and weights with no copula are refused by one check
+    errors = ("MassNormalizationError", "ExistenceError")
+    found = {
+        (path.name, scope, call.func.id)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, call in _calls(ast.parse(path.read_text()))
+        if getattr(call.func, "id", None) in errors
+    }
+    assert found == {("copula.py", "GroupedWCMCopula.__post_init__", "MassNormalizationError"),
+                     ("copula.py", "GroupedWCMCopula.__post_init__", "ExistenceError"),
+                     ("weights.py", "require_wcm_existence", "ExistenceError")}
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -3,6 +3,7 @@ support/uniformity invariants."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,13 +32,12 @@ from wcm.copula import (
     SUPPORT_TOL,
     GroupedWCMCopula,
     SampleMatrix,
+    _edge_masses,
     build_grouped_wcm,
     build_triangle,
     check_wcm,
-    edge_masses,
     make_rng,
     spawn_rngs,
-    triangle_params,
 )
 from wcm.errors import (
     DimensionError,
@@ -75,50 +75,46 @@ def fixed_edge_copula(case):
 
 class TestTriangleParams:
     def test_543_triple(self):
-        z = triangle_params((5, 4, 3))
+        z = build_triangle((5, 4, 3)).z_values
         assert z == pytest.approx((0.25, 2 / 3, 0.6), abs=1e-15)
 
     def test_symmetric(self):
-        assert triangle_params((1, 1, 1)) == (0.5, 0.5, 0.5)
+        assert build_triangle((1, 1, 1)).z_values == (0.5, 0.5, 0.5)
 
     def test_degenerate(self):
-        assert triangle_params((2, 1, 1)) == (0.0, 1.0, 0.5)
-
-    def test_rejects_nonexistent(self):
-        with pytest.raises(ExistenceError):
-            triangle_params((5, 1, 1))
+        assert build_triangle((2, 1, 1)).z_values == (0.0, 1.0, 0.5)
 
     @given(triple_strategy)
     @settings(max_examples=200)
     def test_in_unit_interval(self, w):
-        assert all(0.0 <= z <= 1.0 for z in triangle_params(w))
+        assert all(0.0 <= z <= 1.0 for z in build_triangle(w).z_values)
 
 
 class TestEdgeMasses:
     def test_543_masses(self):
-        m = edge_masses((0.25, 2 / 3, 0.6))
+        m = build_triangle((5, 4, 3)).masses
         assert m == pytest.approx((6 / 11, 3 / 11, 2 / 11), abs=1e-12)
 
     def test_symmetric(self):
-        assert edge_masses((0.5, 0.5, 0.5)) == pytest.approx((1 / 3,) * 3, abs=1e-15)
+        assert build_triangle((1, 1, 1)).masses == pytest.approx((1 / 3,) * 3, abs=1e-15)
 
     def test_degenerate(self):
-        assert edge_masses((0.0, 1.0, 0.5)) == (1.0, 0.0, 0.0)
+        assert build_triangle((2, 1, 1)).masses == (1.0, 0.0, 0.0)
 
     def test_flags_inadmissible_triple(self):
         # An arbitrary z-triple solves the vertex equations with masses that
-        # do not sum to one; that must be reported, not silently accepted.
+        # do not sum to one; the constructor must report that, not accept it.
         with pytest.raises(MassNormalizationError):
-            edge_masses((0.5, 0.3, 0.2))
+            replace(build_triangle((1, 1, 1)), masses=_edge_masses((0.5, 0.3, 0.2)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            edge_masses((1.2, 0.5, 0.5))
+            replace(build_triangle((1, 1, 1)), z_values=(1.2, 0.5, 0.5))
 
     @given(triple_strategy)
     @settings(max_examples=200)
     def test_admissible_triples_normalize(self, w):
-        m = edge_masses(triangle_params(w))
+        m = build_triangle(w).masses
         assert math.fsum(m) == pytest.approx(1.0, abs=1e-12)
         assert min(m) >= 0.0
 

@@ -321,6 +321,15 @@ class TestHix:
             for scale in (1e-200, 1e200):
                 assert index((scale, 2 * scale), model) == pytest.approx(base, rel=1e-14)
 
+    @pytest.mark.parametrize("rho, sigma", [(0.5, 30.0), (-0.5, 30.0), (0.5, 2.3e-162)])
+    def test_no_finite_ratio_is_a_model_error(self, rho, sigma):
+        # exp(sigma^2) overflows at 30, where rho < 0 also leaves inf - inf in
+        # a sum; sigma^2 underflows to a denominator of 0 at 2.3e-162
+        model = LognormalModel.bivariate(rho, sigma, sigma)
+        for index in (hix_lognormal, rhix_lognormal):
+            with pytest.raises(ModelError, match="sigmas"):
+                index((1, 1), model)
+
 
 class TestDegeneracyCurve:
     def test_low_volatility_plateau_near_rho(self):

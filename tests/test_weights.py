@@ -30,7 +30,6 @@ class TestWeightVector:
         w = WeightVector((5.0, 4.0, 3.0))
         assert w.d == 3
         assert w.s1 == 12.0
-        assert w.s2 == 50.0
         assert w.wmax == 5.0
 
     @pytest.mark.parametrize("bad", [(), (1.0,), (1.0, 0.0), (1.0, -2.0), (1.0, float("nan")),
