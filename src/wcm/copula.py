@@ -255,7 +255,13 @@ class GroupedWCMCopula:
         inside (0, 1), all mass sits on one segment and ``u >= cum[k]`` is the
         same for every ``u`` in [0, 1): the segment uniforms are skipped with
         ``advance(n)``, as each PCG64 double is one 64-bit step, so ``t`` and
-        the bits stay those of the full draw."""
+        the bits stay those of the full draw.
+
+        On that segment a coordinate from 1 to 0 is ``t`` itself and one from
+        0 to 1 is ``1 - t``: in IEEE arithmetic ``t*1.0 + (1-t)*0.0 == t`` and
+        ``t*0.0 + (1-t)*1.0 == 1-t`` exactly for ``t`` in [0, 1).  Any other
+        keeps the general form.  This serves every optimal coupling with an
+        oversized weight, the degenerate triples and the countermonotonic pair."""
         cum = np.cumsum(self.masses)[:-1]
         fixed = not ((cum > 0.0) & (cum < 1.0)).any()
         if fixed:
@@ -266,6 +272,7 @@ class GroupedWCMCopula:
             u = rng.random(n)
         t = rng.random(n)
         start, end = (np.array(ends).T for ends in zip(*self._segments()))
+        runs = [(a[edge], b[edge]) if fixed else None for a, b in zip(start, end)]
         out = np.empty((n, self.d))
         for lo in range(0, n, _DRAW_BLOCK):
             tb = t[lo:lo + _DRAW_BLOCK]
@@ -275,7 +282,9 @@ class GroupedWCMCopula:
                 # as masses >= 0 keep cum sorted
                 edge = np.add(ub >= cum[0], ub >= cum[1], dtype=np.intp)
             sb = 1.0 - tb
-            coords = [tb * a.take(edge) + sb * b.take(edge) for a, b in zip(start, end)]
+            coords = [tb if run == (1.0, 0.0) else sb if run == (0.0, 1.0)
+                      else tb * a.take(edge) + sb * b.take(edge)
+                      for run, a, b in zip(runs, start, end)]
             block = out[lo:lo + _DRAW_BLOCK]
             for coord, group in zip(coords, self.groups):
                 for i in group:

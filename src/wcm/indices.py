@@ -16,6 +16,7 @@ closed forms are provided as a contrast.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -348,12 +349,15 @@ def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
         raise ModelError(f"correlation must lie in [-1, 1], got {rho!r}")
     if sigma1 <= 0.0 or sigma2 <= 0.0:
         raise ModelError("volatilities must be positive")
+    if sigma1 * sigma2 < sys.float_info.min:  # expm1(y) == y: take the ratio on the mantissas
+        m = math.frexp(sigma1)[0] * math.frexp(sigma2)[0]
+        return rho * m / m
     try:
         ceiling = math.expm1(sigma1 * sigma2)
     except OverflowError:
         ceiling = math.inf
     if not 0.0 < ceiling < math.inf:
-        raise ModelError(f"exp(sigma1*sigma2) - 1 is 0 or inf at sigmas {sigma1!r}, {sigma2!r}")
+        raise ModelError(f"exp(sigma1*sigma2) - 1 is not finite at sigmas {sigma1!r}, {sigma2!r}")
     return math.expm1(rho * sigma1 * sigma2) / ceiling
 
 

@@ -80,8 +80,10 @@ def validate_wcm_existence(w: "WeightVector | Iterable[float]") -> bool:
 
     The criterion is ``max(w) <= sum(w) - max(w)``; equality counts as
     existent (degenerate triangle).  It compares ``2*max(w)``, which is exact,
-    with the correctly rounded ``fsum(w)``, with no epsilon.  Every copula
-    builder follows this decision through :func:`require_wcm_existence`.
+    with the correctly rounded ``fsum(w)``, with no epsilon: exact up to that
+    one rounding, so ``(1.0000000000000002, 8.673617379884035e-19, 1)`` exists
+    though its exact ``2*max - sum`` is 2.2e-16.  Every copula builder follows
+    this decision through :func:`require_wcm_existence`.
     """
     w = as_weight_vector(w)
     return 2.0 * w.wmax <= w.s1
@@ -101,8 +103,8 @@ def require_wcm_existence(w: "WeightVector | Iterable[float]") -> WeightVector:
 
 
 def existence_deficit(w: "WeightVector | Iterable[float]") -> float:
-    """``2*max(w) - sum(w)``; positive exactly when no such copula exists.
-    ``fsum`` gives the bits of ``2.0 * max(w) - sum(w)`` without forming
+    """``2*max(w) - fsum(w)``; positive exactly when :func:`validate_wcm_existence`
+    fails.  ``fsum`` gives the bits of ``2.0 * max(w) - fsum(w)`` without forming
     ``2.0 * max(w)``, which overflows above half the float range."""
     w = as_weight_vector(w)
     return math.fsum((w.wmax, -w.s1, w.wmax))

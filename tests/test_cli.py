@@ -417,6 +417,16 @@ class TestBounds:
         del serial["manifest"], threaded["manifest"]  # argv differs, results must not
         assert serial == threaded
 
+    @pytest.mark.parametrize("weights", [["1", "1"], ["9", "2", "3", "1", "0.5", "1", "1"]])
+    def test_one_segment_couplings_do_not_depend_on_the_thread_count(self, capsys, weights):
+        # the countermonotonic pair, and an oversized weight among d = 7
+        argv = ["bounds", *weights, "--mc", "600000", "--seed", "5", "--json"]
+        _, serial = run_json(capsys, argv + ["--threads", "1"])
+        _, threaded = run_json(capsys, argv + ["--threads", "2"])
+        del serial["manifest"], threaded["manifest"]
+        assert serial == threaded
+        assert abs(serial["mc"]["estimate"] - serial["lower"]) < 5 * serial["mc"]["stderr"] + 1e-12
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_count_below_one_exits_one(self, capsys, threads):
         argv = ["bounds", "5", "1", "1", "--mc", "1000", "--seed", "1", "--threads", threads]
@@ -613,6 +623,10 @@ class TestCurve:
 
     def test_bad_grid(self, capsys):
         assert main(["curve", "0.5", "oops"]) == 1
+
+    def test_sigma_whose_square_is_subnormal_reads_rho(self, capsys):
+        assert main(["curve", "0.5", "2.3e-162:2.3e-162:1"]) == 0
+        assert capsys.readouterr().out == "sigma,rhix\n2.3e-162,0.5\n"
 
     @pytest.mark.parametrize("grid", ["a:1:0.1", "0:b:0.1", "nan:1:0.1", "0:1:nan", "0:inf:1",
                                       "-inf:0:1", "0:1:inf", "0:1e300:1e-300"])

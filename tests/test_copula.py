@@ -67,6 +67,27 @@ FIXED_EDGE_CASES = ([(w, v) for w in [(2, 1, 1), (1, 2, 1), (1, 1, 2)] for v in 
                                                 (1, 1), (2.5, 2.5)]])
 
 
+# Positions along a segment at both ends of [0, 1) and between, and segment
+# uniforms for them.
+EXTREME_POSITIONS = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+EDGE_UNIFORMS = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)])
+
+
+class Replay:
+    """A generator stand-in that returns the given arrays, in order, as its
+    draws; ``advance(n)`` skips the next one, as a skipped draw would."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.bit_generator = self
+
+    def random(self, n):
+        return self.draws.pop(0)[:n]
+
+    def advance(self, n):
+        self.random(n)
+
+
 def fixed_edge_copula(case):
     """The copula of a ``FIXED_EDGE_CASES`` entry."""
     w, variant = case
@@ -462,6 +483,73 @@ class TestSampling:
         values = tri._draw(Replay(), len(u))
         expected = triangle_draw_oracle(tri, Replay(), len(u))
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("case", FIXED_EDGE_CASES)
+    def test_fixed_edge_columns_are_the_position_or_its_complement(self, case):
+        # A coordinate that runs from 1 to 0 is written as t and one from 0 to 1
+        # as 1 - t, with the bits of t*start + (1-t)*end even at the ends of [0, 1).
+        copula = fixed_edge_copula(case)
+        t = EXTREME_POSITIONS
+        if copula.construction == "countermonotonic":
+            values = copula._draw(Replay(t), len(t))  # a lone segment draws no segment uniforms
+            expected = np.column_stack([t, 1.0 - t])
+        else:
+            values = copula._draw(Replay(EDGE_UNIFORMS, t), len(t))
+            tri = copula if copula.construction == "triangle" else build_triangle(copula.aggregates)
+            cols = [g for i in range(copula.d)
+                    for g, group in enumerate(copula.groups) if i in group]
+            expected = triangle_draw_oracle(tri, Replay(EDGE_UNIFORMS, t), len(t))[:, cols]
+        bits = values.view(np.uint64)
+        assert np.array_equal(bits, expected.view(np.uint64))
+        ends = {t.view(np.uint64).tobytes(), (1.0 - t).view(np.uint64).tobytes()}
+        assert all(bits[:, i].tobytes() in ends for i in range(copula.d))
+
+    @pytest.mark.parametrize("edge", range(3))
+    def test_fixed_edge_coordinate_between_other_ends_keeps_the_general_form(self, edge):
+        # All mass on one edge of a non-degenerate triangle: coordinates run
+        # between a z-value and 0 or 1, and are neither t nor 1 - t.
+        tri = build_triangle((5, 4, 3))
+        tri = replace(tri, masses=tuple(float(k == edge) for k in range(3)))
+        t = np.concatenate([EXTREME_POSITIONS, make_rng(3).random(1000)])
+        u = make_rng(4).random(len(t))
+        values = tri._draw(Replay(u, t), len(t))
+        expected = triangle_draw_oracle(tri, Replay(u, t), len(t))
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @given(
+        st.lists(positive_weight, min_size=1, max_size=11),
+        st.one_of(st.floats(min_value=2.0**-52, max_value=10.0), st.just(2.0**-52)),
+        st.integers(min_value=0, max_value=11),
+        draw_sizes,
+        st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    @example(rest=[1.2414656755054407, 1.99999, 2.375762310037082, 3.2414656755054407,
+                   18.547770039474962, 18.547770039474962, 21.945525525498986,
+                   22.212481852061494, 34.449016282625436, 34.30717384224629, 49.71773259741264],
+             excess=2.0**-52, at=0, n=1, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_optimal_coupling_draw_matches_oracle(self, rest, excess, at, n, seed):
+        # An oversized weight, anywhere among d = 2..12, puts the optimal
+        # coupling's mass on one segment.  The oracle draws on the copula's own
+        # triangle: rebuilt from the aggregates, whose fsums can fail existence by
+        # one rounding where the weights pass, it would raise.
+        w = list(rest)
+        w.insert(at % (len(rest) + 1), math.fsum(rest) * (1.0 + excess))
+        assume(not validate_wcm_existence(w))
+        copula = optimal_coupling(w)[0]
+        values = copula.sample(n, seed).values
+        if copula.construction == "countermonotonic":
+            t = make_rng(seed).random(n)
+            expected = np.column_stack([t, 1.0 - t])
+        else:
+            cols = [g for i in range(copula.d)
+                    for g, group in enumerate(copula.groups) if i in group]
+            expected = triangle_draw_oracle(copula, make_rng(seed), n).take(cols, axis=1)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        weights = np.array(copula.weights)
+        assert np.array_equal((values @ weights).view(np.uint64),
+                              (expected @ weights).view(np.uint64))
 
     @given(
         st.one_of(

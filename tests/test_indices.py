@@ -2,11 +2,13 @@
 closed-form indices."""
 
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ComonotonicCopula, IndependenceCopula, MixtureSampler, gaussian_copula_sample,
@@ -266,6 +268,23 @@ class TestRhix:
     def test_bivariate_endpoints(self):
         assert rhix_lognormal_bivariate(1.0, 2.0, 3.0) == 1.0
         assert rhix_lognormal_bivariate(0.0, 2.0, 3.0) == 0.0
+
+    @pytest.mark.parametrize("rho, sigma", [(0.5, 2.3e-162), (0.5, 1.5e-162), (0.3, 1e-200)])
+    def test_bivariate_tends_to_rho_where_sigma_squared_is_subnormal(self, rho, sigma):
+        # sigma^2 is subnormal or 0, where expm1(y) == y: the limit as sigma -> 0
+        assert rhix_lognormal_bivariate(rho, sigma, sigma) == rho
+
+    @given(
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=1e-160, max_value=26.0),
+        st.floats(min_value=1e-160, max_value=26.0),
+    )
+    @settings(max_examples=300)
+    def test_bivariate_keeps_its_bits_where_the_product_is_normal(self, rho, s1, s2):
+        assume(s1 * s2 >= sys.float_info.min)
+        expected = math.expm1(rho * s1 * s2) / math.expm1(s1 * s2)
+        actual = rhix_lognormal_bivariate(rho, s1, s2)
+        assert struct.pack("<d", actual) == struct.pack("<d", expected)
 
     def test_bivariate_decay_value(self):
         assert rhix_lognormal_bivariate(0.5, 5.0, 5.0) == pytest.approx(
