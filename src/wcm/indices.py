@@ -1,5 +1,5 @@
 """Rank correlation, the SIX herd behavior index with its sharp bounds, and
-closed-form lognormal comparison indices (HIX, RHIX).
+the closed-form lognormal SIX and two-asset covariance-ratio index (RHIX).
 
 SIX is the ``w_i w_j``-weighted average of pairwise Spearman's rhos.  It
 depends on the data only through ranks, so it is invariant to strictly
@@ -8,9 +8,9 @@ increasing transformations of the marginals.  Its sharp range is::
     (12 * l(w) - S2) / (S1^2 - S2)  <=  SIX  <=  1
 
 with the upper end reached by comonotonicity and the lower end by the
-weighted-countermonotonic coupling on the shrunken weights.  HIX and RHIX are
-variance-ratio indices that do depend on the marginals; their lognormal
-closed forms are provided as a contrast.
+weighted-countermonotonic coupling on the shrunken weights.  The two-asset
+RHIX is a covariance ratio that does depend on the marginals; its lognormal
+closed form is provided as a contrast.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "six_bounds",
     "six_lognormal",
     "rhix_lognormal_bivariate",
-    "rhix_lognormal",
-    "hix_lognormal",
     "rhix_degeneracy_curve",
 ]
 
@@ -312,36 +310,6 @@ def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) ->
     return six_from_matrix(gaussian_spearman(model.correlations), w).six
 
 
-def _covariance_ratio(
-    w: "WeightVector | Iterable[float]", model: LognormalModel, diagonal: bool
-) -> float:
-    """``sum w_i w_j Cov[X_i, X_j] / sum w_i w_j Cov^c[X_i, X_j]`` over the
-    lognormal prices, where ``Cov^c`` keeps the marginals and sets every copula
-    correlation to one; over all ``i, j`` or, without ``diagonal``, ``i != j``.
-    The weights are scaled by ``unit_scaled``, which leaves the ratio as it
-    is but keeps ``w_i w_j`` from underflowing or overflowing.  A sum that
-    is not finite, or a denominator of 0, is a :class:`ModelError`."""
-    wv = WeightVector(_scaled_weights(w))
-    if wv.d != model.d:
-        raise DimensionError(f"weights have d={wv.d} but model has d={model.d}")
-    mu, var, s = np.array(model.mu), np.diag(model.cov), model.sigmas
-    comonotone = np.outer(s, s)
-    np.fill_diagonal(comonotone, var)
-    terms = ~np.eye(wv.d, dtype=bool) | diagonal
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.outer(wv.values, wv.values) * np.exp(
-            mu[:, None] + mu[None, :] + 0.5 * (var[:, None] + var[None, :]))
-        parts = [(scale * np.expm1(c))[terms].tolist() for c in (model.cov, comonotone)]
-    try:  # fsum raises on inf - inf and on a finite sum past the float range
-        num, den = map(math.fsum, parts)
-    except (ValueError, OverflowError):
-        num = den = math.nan
-    if not (math.isfinite(num) and math.isfinite(den)) or den == 0.0:
-        raise ModelError(f"the covariance sums {num!r} and {den!r} give no finite ratio "
-                         f"at sigmas {tuple(s.tolist())}")
-    return num / den
-
-
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
     """Two-asset covariance-ratio index under lognormality:
     ``(exp(rho*s1*s2) - 1) / (exp(s1*s2) - 1)``."""
@@ -359,19 +327,6 @@ def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:
     if not 0.0 < ceiling < math.inf:
         raise ModelError(f"exp(sigma1*sigma2) - 1 is not finite at sigmas {sigma1!r}, {sigma2!r}")
     return math.expm1(rho * sigma1 * sigma2) / ceiling
-
-
-def rhix_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
-    """Covariance-ratio index: off-diagonal covariance mass relative to its
-    comonotonic ceiling.  Sensitive to the marginal volatilities."""
-    return _covariance_ratio(w, model, diagonal=False)
-
-
-def hix_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
-    """Variance-ratio index ``Var[S] / Var[S^c]`` under lognormality, where the
-    comonotonic version keeps the marginals and sets all copula correlations
-    to one.  Diagonal variance terms stay in both numerator and denominator."""
-    return _covariance_ratio(w, model, diagonal=True)
 
 
 def rhix_degeneracy_curve(

@@ -28,7 +28,7 @@ from wcm.bounds import MC_BATCH, _draw_dots
 from wcm.copula import (SUPPORT_TOL, SampleMatrix, _require_unit_cube, build_triangle, make_rng,
                         sample_values, spawn_rngs)
 from wcm.errors import DegenerateDataError, DimensionError, DomainError, MassNormalizationError
-from wcm.weights import as_weight_vector, unit_scaled
+from wcm.weights import as_weight_vector, unit_scaled, validate_wcm_existence
 
 
 def ks_uniform_statistic(x: np.ndarray) -> float:
@@ -282,19 +282,6 @@ def six_from_pairs_oracle(pairs, rhos, w) -> tuple[float, tuple]:
     return value, tuple(zip(pairs, (terms / denominator).tolist()))
 
 
-def covariance_ratio_oracle(w, model, diagonal: bool) -> float:
-    """HIX (``diagonal``) or RHIX of a lognormal model, one pair at a time."""
-    mu, var, s = model.mu, np.diag(model.cov), model.sigmas
-    num = den = 0.0
-    for i in range(len(w)):
-        for j in range(len(w)) if diagonal else range(i + 1, len(w)):
-            ww = w[i] * w[j]
-            growth = math.exp(mu[i] + mu[j] + 0.5 * (var[i] + var[j]))
-            num += ww * (growth * math.expm1(model.cov[i, j]))
-            den += ww * (growth * math.expm1(var[i] if i == j else s[i] * s[j]))
-    return num / den
-
-
 _EDGES = ((0, 1), (1, 2), (2, 0))
 
 
@@ -373,13 +360,18 @@ def triangle_draw_oracle(tri, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def grouped_sample_oracle(g, n: int, seed: int) -> np.ndarray:
-    """A grouped copula's sample as first written: the triangle draw, then one
-    C-order ``take`` of its columns."""
+    """A grouped copula's sample as first written: the triangle draw on the
+    copula's own vertices and masses, then one C-order ``take`` of its
+    columns.  Where the aggregates pass the existence check (their ``fsum``s
+    can fail it by one rounding where the weights pass), the triangle is
+    also the one ``build_triangle`` makes of them."""
+    if validate_wcm_existence(g.aggregates):
+        tri = build_triangle(g.aggregates, g.variant)
+        assert (tri.vertices, tri.masses) == (g.vertices, g.masses)
     col_of = np.empty(g.d, dtype=np.intp)
     for col, group in enumerate(g.groups):
         col_of[list(group)] = col
-    tri = build_triangle(g.aggregates)
-    return triangle_draw_oracle(tri, make_rng(seed), n).take(col_of, axis=1, mode="clip")
+    return triangle_draw_oracle(g, make_rng(seed), n).take(col_of, axis=1, mode="clip")
 
 
 def csv_oracle(values: np.ndarray) -> str:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wcm
 from wcm.cli import _dumps, main
 from wcm.errors import DomainError
 
@@ -763,3 +764,22 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert found == []
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # a name in the package namespace is used by the library, a script, the
+    # bench or an acceptance criterion; a name only unit tests call is trimmed
+    root = SRC.parents[1]
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += [*sorted((root / "scripts").glob("*.py")), *sorted((root / "bench").glob("*.py")),
+              root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    assert sorted(set(wcm.__all__) - used) == []

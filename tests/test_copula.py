@@ -551,6 +551,19 @@ class TestSampling:
         assert np.array_equal((values @ weights).view(np.uint64),
                               (expected @ weights).view(np.uint64))
 
+    def test_grouped_oracle_draws_where_the_aggregates_fail_existence(self):
+        # The shrunken weights exist, but one aggregate's fsum rounds up by
+        # 5.7e-14 past half the sum: the triangle cannot be rebuilt from them.
+        rest = [1.2414656755054407, 1.99999, 2.375762310037082, 3.2414656755054407,
+                18.547770039474962, 18.547770039474962, 21.945525525498986,
+                22.212481852061494, 34.449016282625436, 34.30717384224629, 49.71773259741264]
+        g = optimal_coupling([math.fsum(rest) * (1.0 + 2.0**-52), *rest])[0]
+        assert g.construction == "grouped" and not validate_wcm_existence(g.aggregates)
+        for n in (1, 4, 1000):
+            expected = grouped_sample_oracle(g, n, 0)
+            assert np.array_equal(g.sample(n, 0).values.view(np.uint64),
+                                  expected.view(np.uint64))
+
     @given(
         st.one_of(
             st.lists(positive_weight, min_size=3, max_size=12).filter(

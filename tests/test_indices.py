@@ -25,10 +25,8 @@ from wcm.errors import (
 from wcm.indices import (
     LognormalModel,
     gaussian_spearman,
-    hix_lognormal,
     pair_weight_matrix,
     rhix_degeneracy_curve,
-    rhix_lognormal,
     rhix_lognormal_bivariate,
     six,
     six_bounds,
@@ -173,10 +171,8 @@ class TestSixBounds:
     @pytest.mark.parametrize("w", [(4, 1e-323), (1e300, 1e-300, 1.0)])
     def test_ratio_beyond_the_float_range_names_the_weights(self, w):
         given_w = repr(tuple(float(v) for v in w))
-        model = LognormalModel(tuple([0.0] * len(w)), np.eye(len(w)) * 0.04)
         for call in (lambda: six_bounds(w), lambda: pair_weight_matrix(w),
-                     lambda: six_from_matrix(np.eye(len(w)), w),
-                     lambda: hix_lognormal(w, model), lambda: rhix_lognormal(w, model)):
+                     lambda: six_from_matrix(np.eye(len(w)), w)):
             with pytest.raises(InvalidWeightError, match="float range") as err:
                 call()
             assert given_w in str(err.value)
@@ -291,63 +287,13 @@ class TestRhix:
             3.7266392841865614e-06, rel=1e-12
         )
 
-    def test_multivariate_all_rho_one(self):
-        cov = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
-        model = LognormalModel((0.1, -0.2, 0.3), cov)
-        assert rhix_lognormal((1, 2, 3), model) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bivariate_reduction_drops_drift(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            rho = float(rng.uniform(-0.9, 0.9))
-            s1, s2 = rng.uniform(0.2, 3.0, size=2)
-            mu = tuple(rng.standard_normal(2))
-            model = LognormalModel.bivariate(rho, s1, s2, mu=mu)
-            direct = rhix_lognormal_bivariate(rho, s1, s2)
-            assert abs(rhix_lognormal((3, 7), model) - direct) < 1e-12
-
-    def test_equicorrelated_triple_value(self):
-        cov = np.full((3, 3), 0.3)
-        np.fill_diagonal(cov, 1.0)
-        model = LognormalModel((0.0, 0.0, 0.0), cov)
-        expected = math.expm1(0.3) / math.expm1(1.0)  # 0.2036096767023117
-        assert rhix_lognormal((1, 1, 1), model) == pytest.approx(expected, rel=1e-12)
-
-
-class TestHix:
-    def test_all_rho_one(self):
-        cov = np.outer([1.0, 0.5], [1.0, 0.5])
-        model = LognormalModel((0.0, 0.0), cov)
-        assert hix_lognormal((1, 2), model) == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_unit_vol_pair(self):
-        model = LognormalModel.bivariate(0.0, 1.0, 1.0)
-        assert hix_lognormal((1, 1), model) == pytest.approx(0.5, abs=1e-12)
-
-    def test_in_unit_interval_for_nonnegative_rho(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            rho = float(rng.uniform(0.0, 1.0))
-            s1, s2 = rng.uniform(0.2, 2.0, size=2)
-            model = LognormalModel.bivariate(rho, s1, s2, mu=tuple(rng.standard_normal(2)))
-            value = hix_lognormal((1, 2), model)
-            assert 0.0 < value <= 1.0
-
-    def test_tiny_and_huge_weights(self):
-        model = LognormalModel.bivariate(0.5, 0.3, 0.4)
-        for index in (hix_lognormal, rhix_lognormal):
-            base = index((1, 2), model)
-            for scale in (1e-200, 1e200):
-                assert index((scale, 2 * scale), model) == pytest.approx(base, rel=1e-14)
-
-    @pytest.mark.parametrize("rho, sigma", [(0.5, 30.0), (-0.5, 30.0), (0.5, 2.3e-162)])
-    def test_no_finite_ratio_is_a_model_error(self, rho, sigma):
-        # exp(sigma^2) overflows at 30, where rho < 0 also leaves inf - inf in
-        # a sum; sigma^2 underflows to a denominator of 0 at 2.3e-162
-        model = LognormalModel.bivariate(rho, sigma, sigma)
-        for index in (hix_lognormal, rhix_lognormal):
-            with pytest.raises(ModelError, match="sigmas"):
-                index((1, 1), model)
+    @pytest.mark.parametrize("rho, s1, s2", [(0.5, 30.0, 30.0), (-0.5, 30.0, 30.0),
+                                             (0.5, 1e200, 1e200), (0.5, math.inf, 1.0),
+                                             (0.5, math.nan, 1.0)])
+    def test_bivariate_with_no_finite_ceiling_is_a_model_error(self, rho, s1, s2):
+        # exp(s1*s2) - 1 overflows at 30 * 30 and is inf or NaN at inf or NaN
+        with pytest.raises(ModelError, match="sigmas"):
+            rhix_lognormal_bivariate(rho, s1, s2)
 
 
 class TestDegeneracyCurve:

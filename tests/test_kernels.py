@@ -1,8 +1,7 @@
 """The matrix kernels of ``wcm.indices`` against the per-pair loops they
 replaced (kept in ``helpers`` as oracles): mid-ranks, one Gram product per
 rolling window, the rolling ranks that slide from window to window, the SIX
-average of a rho matrix, the arcsine map on arrays, and the lognormal
-HIX/RHIX."""
+average of a rho matrix, and the arcsine map on arrays."""
 
 import datetime as dt
 import math
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from helpers import (
-    covariance_ratio_oracle,
     gaussian_spearman_oracle,
     six_from_pairs_oracle,
     window_pair_rhos_oracle,
@@ -27,10 +25,8 @@ from wcm.errors import DegenerateDataError, DomainError
 from wcm.indices import (
     LognormalModel,
     gaussian_spearman,
-    hix_lognormal,
     midranks,
     pair_weight_matrix,
-    rhix_lognormal,
     six,
     six_bounds,
     six_from_matrix,
@@ -359,27 +355,3 @@ def test_spearman_matrix_lookup_is_symmetric():
     m = spearman_matrix(x)
     assert np.array_equal(m, m.T)
     assert (np.diag(m) == 1.0).all()
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
-def test_lognormal_hix_and_rhix_match_per_pair_loops(d, seed):
-    rng = np.random.default_rng(seed)
-    factor = rng.standard_normal((d, d + 1)) * rng.uniform(0.1, 1.5)
-    model = LognormalModel(tuple(rng.standard_normal(d)), factor @ factor.T)
-    w = tuple(rng.uniform(0.1, 5.0, size=d).tolist())
-    for index, diagonal in ((hix_lognormal, True), (rhix_lognormal, False)):
-        want = covariance_ratio_oracle(w, model, diagonal)
-        assert index(w, model) == pytest.approx(want, rel=1e-12, abs=1e-15)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=6), st.integers(-900, 900),
-       st.integers(0, 2**32 - 1))
-def test_lognormal_hix_and_rhix_do_not_depend_on_a_power_of_two_scale(w, k, seed):
-    rng = np.random.default_rng(seed)
-    factor = rng.standard_normal((len(w), len(w) + 1)) * rng.uniform(0.1, 1.5)
-    model = LognormalModel(tuple(rng.standard_normal(len(w))), factor @ factor.T)
-    scaled = [math.ldexp(v, k) for v in w]
-    for index in (hix_lognormal, rhix_lognormal):
-        assert index(scaled, model).hex() == index(w, model).hex()
