@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import locale  # noqa: F401 - argparse's gettext imports it; pay for that at import, not in main
 import math
@@ -31,6 +32,8 @@ from .indices import rhix_degeneracy_curve
 from .weights import as_weight_vector, existence_deficit, validate_wcm_existence
 
 __all__ = ["main", "entrypoint"]
+
+_CURVE_BLOCK = 1 << 10  # rows per block of ``curve`` text: bounds the strings held at once
 
 
 def _manifest(
@@ -222,8 +225,9 @@ def _parse_grid(text: str) -> list[float]:
 def _cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     curve = rhix_degeneracy_curve(args.rho, grid)
-    lines = ["sigma,rhix"] + [f"{s!r},{v!r}" for s, v in curve]
-    _write_with_manifest(["\n".join(lines) + "\n"], args)
+    blocks = ("".join(f"{s!r},{v!r}\n" for s, v in curve[start:start + _CURVE_BLOCK])
+              for start in range(0, len(curve), _CURVE_BLOCK))
+    _write_with_manifest(itertools.chain(["sigma,rhix\n"], blocks), args)
     return 0
 
 

@@ -50,7 +50,6 @@ _BAD_PRICE = "missing or non-positive price"
 @dataclass(frozen=True)
 class LoadReport:
     rows_read: int
-    rows_kept: int
     dropped: tuple[tuple[str, str], ...]  # (date string, reason)
 
     @property
@@ -158,7 +157,7 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         table = table[usable]
     if not rows:
         raise DomainError(f"{path}: no usable rows")
-    report = LoadReport(rows_read=rows_read, rows_kept=len(rows),
+    report = LoadReport(rows_read=rows_read,
                         dropped=tuple((text, reason) for _, text, reason in dropped))
     market_index = None
     if index_column is not None:
@@ -352,8 +351,7 @@ def rolling_six(
         rhos = (_lognormal_pair_rhos(returns[start:stop]) for start, stop in windows)
     for (_, stop), rho in zip(windows, rhos):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
-        value, within, used = weighted_six(rho, pair_w, bounds)
-        n_pairs = int(np.count_nonzero(used))
+        value, within, n_pairs = weighted_six(rho, pair_w, bounds)
         pairs_dropped += all_pairs - n_pairs
         if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))

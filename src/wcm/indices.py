@@ -41,7 +41,6 @@ __all__ = [
     "spearman_matrix",
     "gaussian_spearman",
     "six",
-    "six_from_matrix",
     "weighted_six",
     "pair_weight_matrix",
     "six_bounds",
@@ -141,14 +140,9 @@ def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
 
 @dataclass(frozen=True)
 class SixReport:
-    """SIX value with its sharp bounds and the pair mixing weights."""
+    """SIX value and whether it lies within its sharp bounds."""
 
-    weights: tuple[float, ...]
     six: float
-    lower_bound: float
-    upper_bound: float
-    pair_weights: tuple[tuple[tuple[int, int], float], ...]
-    n: int | None
     within_bounds: bool
 
 
@@ -188,13 +182,13 @@ def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
 
 def weighted_six(
     rho: np.ndarray, pair_w: np.ndarray, bounds: tuple[float, float]
-) -> tuple[float, bool, np.ndarray]:
+) -> tuple[float, bool, int]:
     """SIX from a ``d x d`` rho matrix and the ``pair_weight_matrix``:
     ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
     is not NaN (NaN if no weight is left), whether it lies within the sharp
-    ``bounds`` up to ``BOUND_SLACK``, and the mask of the pairs used.  Both
-    sums are correctly rounded, so rhos that are all one give exactly 1.0.
-    One pair's average is its rho itself, which ``w * rho / w`` need not be."""
+    ``bounds`` up to ``BOUND_SLACK``, and the number of pairs used.  Both sums
+    are correctly rounded, so rhos that are all one give exactly 1.0.  One
+    pair's average is its rho itself, which ``w * rho / w`` need not be."""
     terms = pair_w * rho
     used = ~np.isnan(terms)
     weights = pair_w[used].tolist()
@@ -204,44 +198,15 @@ def weighted_six(
     else:
         value = math.fsum(terms[used].tolist()) / total if total else math.nan
     lower, upper = bounds
-    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, used
-
-
-def six_from_matrix(
-    rho: np.ndarray, w: "WeightVector | Iterable[float]", n: int | None = None
-) -> SixReport:
-    """Weighted average of pairwise rhos: ``sum w_i w_j rho_ij / sum w_i w_j``
-    over the upper triangle of the ``d x d`` matrix ``rho``, where NaN marks a
-    pair that is left out."""
-    wv = as_weight_vector(w)
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (wv.d, wv.d):
-        raise DimensionError(f"weights have d={wv.d} but rho matrix has shape {rho.shape}")
-    if (np.abs(rho) > 1.0).any():
-        raise DomainError(f"rho outside [-1, 1] in {rho!r}")
-    pair_w = pair_weight_matrix(wv)
-    bounds = six_bounds(wv)
-    value, within, used = weighted_six(rho, pair_w, bounds)
-    if math.isnan(value):
-        raise DegenerateDataError("every pair of the rho matrix is left out")
-    weights = pair_w[used]
-    return SixReport(
-        weights=wv.values,
-        six=value,
-        lower_bound=bounds[0],
-        upper_bound=bounds[1],
-        pair_weights=tuple(zip(map(tuple, np.argwhere(used).tolist()),
-                               (weights / math.fsum(weights.tolist())).tolist())),
-        n=n,
-        within_bounds=within,
-    )
+    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, len(weights)
 
 
 def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> SixReport:
     """Rank-based SIX of a data matrix (columns are variables)."""
     wv = as_weight_vector(w)
-    values = sample_values(data, wv.d)
-    return six_from_matrix(spearman_matrix(values), wv, n=values.shape[0])
+    rho = spearman_matrix(sample_values(data, wv.d))
+    value, within, _ = weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))
+    return SixReport(six=value, within_bounds=within)
 
 
 @dataclass(frozen=True)
@@ -307,7 +272,11 @@ def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) ->
     Depends on the model only through its copula correlations: the drift and
     the marginal volatilities cancel.
     """
-    return six_from_matrix(gaussian_spearman(model.correlations), w).six
+    wv = as_weight_vector(w)
+    if wv.d != model.d:
+        raise DimensionError(f"weights have d={wv.d} but the model has {model.d} assets")
+    rho = gaussian_spearman(model.correlations)
+    return weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))[0]
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:

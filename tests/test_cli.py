@@ -1,8 +1,10 @@
 """Command-line surface: JSON outputs, exit codes, manifests, determinism."""
 
 import ast
+import dataclasses
 import datetime as dt
 import hashlib
+import inspect
 import json
 import math
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 import wcm
 from wcm.cli import _dumps, main
 from wcm.errors import DomainError
+from wcm.indices import rhix_degeneracy_curve
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wcm"
 
@@ -622,6 +625,24 @@ class TestCurve:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-5
 
+    def test_blocks_of_a_long_grid_write_the_bytes_of_one_string(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        grid = "0.001:2.5:0.001"
+        curve = rhix_degeneracy_curve(0.5, wcm.cli._parse_grid(grid))
+        assert len(curve) > 2 * wcm.cli._CURVE_BLOCK
+        text = "\n".join(["sigma,rhix"] + [f"{s!r},{v!r}" for s, v in curve]) + "\n"
+        sizes, write = [], wcm.cli._write_with_manifest
+
+        def counted(blocks, *args, **kwargs):
+            blocks = list(blocks)
+            sizes.append(len(blocks))
+            write(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(wcm.cli, "_write_with_manifest", counted)
+        assert_written(capsys, tmp_path, ["curve", "0.5", grid],
+                       hashlib.sha256(text.encode()).hexdigest())
+        assert sizes == [1 + math.ceil(len(curve) / wcm.cli._CURVE_BLOCK)] * 2
+
     def test_bad_grid(self, capsys):
         assert main(["curve", "0.5", "oops"]) == 1
 
@@ -766,20 +787,54 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
-def test_every_public_name_has_a_caller_outside_the_unit_tests():
-    # a name in the package namespace is used by the library, a script, the
-    # bench or an acceptance criterion; a name only unit tests call is trimmed
+def _nodes_outside_the_unit_tests():
+    """Every ``ast`` node of the library (less ``__init__``), the scripts, the
+    bench and the acceptance criteria."""
     root = SRC.parents[1]
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     paths += [*sorted((root / "scripts").glob("*.py")), *sorted((root / "bench").glob("*.py")),
               root / "tests" / "test_acceptance.py"]
-    used = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # a name in the package namespace is used by the library, a script, the
+    # bench or an acceptance criterion; a name only unit tests call is trimmed
+    used = set()
+    for node in _nodes_outside_the_unit_tests():
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
     assert sorted(set(wcm.__all__) - used) == []
+
+
+def _renders_itself_with_asdict(cls) -> bool:
+    return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+               and [getattr(a, "id", None) for a in node.args] == ["self"]
+               for node in ast.walk(ast.parse(inspect.getsource(cls))))
+
+
+def test_every_public_member_has_a_reader_outside_the_unit_tests():
+    # so does each field, method and property of a public class: the bench
+    # names its hook targets as strings, and ``asdict(self)`` reads every field
+    read = set()
+    for node in _nodes_outside_the_unit_tests():
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    unread = []
+    for name in wcm.__all__:
+        cls = getattr(wcm, name)
+        if not inspect.isclass(cls):
+            continue
+        members = [m for m, v in vars(cls).items() if not m.startswith("_") and (
+            inspect.isfunction(v) or isinstance(v, (property, classmethod, staticmethod)))]
+        if dataclasses.is_dataclass(cls) and not _renders_itself_with_asdict(cls):
+            members += [f.name for f in dataclasses.fields(cls)]
+        unread += [f"{name}.{m}" for m in members if m not in read]
+    assert unread == []

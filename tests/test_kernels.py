@@ -21,7 +21,7 @@ from helpers import (
 import wcm.data
 from wcm.data import (SLIDE_ROWS, PriceSeries, _lognormal_pair_rhos, _rolling_ranks,
                       _window_pair_rhos, log_returns, rolling_six, rolling_windows)
-from wcm.errors import DegenerateDataError, DomainError
+from wcm.errors import DomainError
 from wcm.indices import (
     LognormalModel,
     gaussian_spearman,
@@ -29,7 +29,6 @@ from wcm.indices import (
     pair_weight_matrix,
     six,
     six_bounds,
-    six_from_matrix,
     six_lognormal,
     spearman_matrix,
     weighted_six,
@@ -204,9 +203,9 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
         assert np.sort(centred, axis=0).tobytes() == np.sort(want, axis=0).tobytes()
         rho = _window_pair_rhos(centred)
         assert rho.tobytes() == window_rhos(block, "rank").tobytes()
-        value, _, used = weighted_six(rho, pair_w, bounds)
+        value, _, n_pairs = weighted_six(rho, pair_w, bounds)
         pairs, rhos, left_out = window_pair_rhos_oracle(block, "rank")
-        assert np.count_nonzero(used) == len(pairs)
+        assert n_pairs == len(pairs)
         dropped += len(left_out)
         if pairs:
             by_matrix.append((value.hex(), len(pairs)))
@@ -263,10 +262,11 @@ def rho_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(rho_matrices())
-def test_six_from_matrix_matches_the_pairs_tuple_average(case):
+def test_weighted_six_matches_the_pairs_tuple_average(case):
     rho, w = case
-    report = six_from_matrix(rho, w)
-    assert (report.six, report.pair_weights) == six_from_pairs_oracle(*upper_pairs(rho), w)
+    value, _, n_pairs = weighted_six(rho, pair_weight_matrix(w), six_bounds(w))
+    want, shares = six_from_pairs_oracle(*upper_pairs(rho), w)
+    assert (value.hex(), n_pairs) == (want.hex(), len(shares))
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,19 +287,17 @@ def test_six_lognormal_matches_the_pairs_tuple_average(d, seed):
 def test_six_and_its_bounds_do_not_depend_on_a_power_of_two_scale(w, k, seed):
     data = np.random.default_rng(seed).standard_normal((30, len(w)))
     scaled = [math.ldexp(v, k) for v in w]
-    fields = ("six", "lower_bound", "upper_bound", "pair_weights", "within_bounds")
-    base, other = six(data, w), six(data, scaled)
-    assert [getattr(other, f) for f in fields] == [getattr(base, f) for f in fields]
+    assert six(data, scaled) == six(data, w)
     assert six_bounds(scaled) == six_bounds(w)
 
 
-def test_six_from_matrix_leaves_out_nan_pairs():
+def test_weighted_six_leaves_out_nan_pairs():
     rho = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, np.nan], [np.nan, np.nan, 1.0]])
-    report = six_from_matrix(rho, (1, 2, 3))
-    assert (report.six, report.pair_weights) == (0.5, (((0, 1), 1.0),))
+    pair_w, bounds = pair_weight_matrix((1, 2, 3)), six_bounds((1, 2, 3))
+    assert weighted_six(rho, pair_w, bounds) == (0.5, True, 1)
     rho[0, 1] = np.nan
-    with pytest.raises(DegenerateDataError):
-        six_from_matrix(rho, (1, 2, 3))
+    value, within, n_pairs = weighted_six(rho, pair_w, bounds)
+    assert math.isnan(value) and (within, n_pairs) == (False, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,8 +308,8 @@ def test_six_of_one_pair_is_that_pairs_rho(d, data):
     w = data.draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d))
     rho = np.full((d, d), np.nan)
     rho[i, j] = rho[j, i] = r
-    report = six_from_matrix(rho, w)
-    assert (report.six.hex(), report.pair_weights) == (r.hex(), (((i, j), 1.0),))
+    value, _, n_pairs = weighted_six(rho, pair_weight_matrix(w), six_bounds(w))
+    assert (value.hex(), n_pairs) == (r.hex(), 1)
 
 
 @settings(max_examples=100, deadline=None)
