@@ -204,7 +204,9 @@ def _cmd_six(args) -> int:
         "windows_skipped": len(rolling.skipped),
     }
     if args.json:
-        _emit_json(rolling.to_json_dict(), args, **counts)
+        payload = rolling.to_json_dict()
+        payload.update(rows_read=counts["rows_read"], rows_dropped=counts["rows_dropped"])
+        _emit_json(payload, args, **counts)
     else:
         _write_with_manifest([rolling.csv_text()], args, **counts)
     return 0

@@ -129,36 +129,28 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
             raise DomainError(f"{path}: ticker names must be nonempty and distinct, got {tickers}")
         if index_column is not None and index_column not in tickers:
             raise DomainError(f"{path}: index column {index_column!r} not in {tickers}")
-        rows: list[tuple[int, str, dt.date]] = []  # (row position, date string, date)
+        rows: list[tuple[str, dt.date, str]] = []  # (date string, date, reason if dropped)
         cells: list[list[float]] = []
-        dropped: list[tuple[int, str, str]] = []  # (row position, date string, reason)
-        rows_read = 0
+        unparsed = [math.nan] * len(tickers)
         for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
-            rows_read += 1
-            date_text = record[0]
-            date = _parse_date(date_text)
-            if len(record) - 1 != len(tickers):
-                dropped.append((rows_read, date_text, "wrong number of cells"))
-                continue
-            try:  # float() strips the whitespace str.strip() does
-                cells.append(list(map(float, record[1:])))
-            except ValueError:
-                dropped.append((rows_read, date_text, _BAD_PRICE))
-                continue
-            rows.append((rows_read, date_text, date))
+            reason, values = "wrong number of cells", unparsed
+            if len(record) - 1 == len(tickers):
+                reason = _BAD_PRICE
+                try:  # float() strips the whitespace str.strip() does
+                    values = list(map(float, record[1:]))
+                except ValueError:
+                    pass
+            rows.append((record[0], _parse_date(record[0]), reason))
+            cells.append(values)
     table = np.array(cells).reshape(len(rows), len(tickers))
     usable = ((table > 0.0) & (table < math.inf)).all(axis=1)
-    if not usable.all():
-        dropped += [(pos, text, _BAD_PRICE) for (pos, text, _), ok in zip(rows, usable) if not ok]
-        dropped.sort()
-        rows = [row for row, ok in zip(rows, usable) if ok]
-        table = table[usable]
-    if not rows:
+    if not usable.any():
         raise DomainError(f"{path}: no usable rows")
-    report = LoadReport(rows_read=rows_read,
-                        dropped=tuple((text, reason) for _, text, reason in dropped))
+    report = LoadReport(rows_read=len(rows), dropped=tuple(
+        (text, reason) for (text, _, reason), ok in zip(rows, usable) if not ok))
+    table = table[usable]
     market_index = None
     if index_column is not None:
         pos = tickers.index(index_column)
@@ -166,7 +158,7 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         table = np.delete(table, pos, axis=1)
         tickers = tickers[:pos] + tickers[pos + 1:]
     return PriceSeries(
-        dates=tuple(date for _, _, date in rows),
+        dates=tuple(date for (_, date, _), ok in zip(rows, usable) if ok),
         tickers=tuple(tickers),
         prices=table,
         market_index=market_index,
@@ -219,8 +211,7 @@ class WindowSix:
 class RollingSixSeries:
     """Per-window SIX values; windows index return rows, and each window is
     stamped with the price date of its last return.  ``pairs_dropped`` counts
-    the pairs left out over all windows (constant columns); ``load_report``
-    is the price series' own, if it was read from a file."""
+    the pairs left out over all windows (constant columns)."""
 
     weights: tuple[float, ...]
     window: int
@@ -229,7 +220,6 @@ class RollingSixSeries:
     entries: tuple[WindowSix, ...]
     skipped: tuple[tuple[dt.date, str], ...] = field(default_factory=tuple)
     pairs_dropped: int = 0
-    load_report: LoadReport | None = None
 
     def csv_text(self) -> str:
         """Header ``end_date,six,estimator,n_window`` and one row per window.  No
@@ -257,8 +247,6 @@ class RollingSixSeries:
             ],
             "skipped": [[d.isoformat(), reason] for d, reason in self.skipped],
             "pairs_dropped": self.pairs_dropped,
-            "rows_read": self.load_report.rows_read if self.load_report else None,
-            "rows_dropped": self.load_report.rows_dropped if self.load_report else None,
         }
 
 
@@ -273,9 +261,12 @@ def _lognormal_pair_rhos(block: np.ndarray) -> np.ndarray:
     """One window's ``d x d`` matrix of Gaussian-copula Spearman's rhos: the
     returns' Pearson correlations, those within ``n * eps`` of +/-1 (finer than
     the Gram's rounding) set to +/-1, through ``gaussian_spearman``.  A pair
-    touching a constant column is NaN; a centred constant column need not be
-    exactly zero, so the constant columns are found from the returns."""
-    rho = centred_correlation(block - block.mean(axis=0), np.ptp(block, axis=0) > 0.0)
+    touching a constant column is NaN: a centred constant column need not be
+    exactly zero, so the columns constant in the returns are set to 0.0 after
+    centring and ``centred_correlation`` gives their pairs 0/0."""
+    centred = block - block.mean(axis=0)
+    centred[:, np.ptp(block, axis=0) == 0.0] = 0.0
+    rho = centred_correlation(centred)
     linear = np.abs(rho) >= 1.0 - len(block) * np.finfo(float).eps
     rho[linear] = np.sign(rho[linear])
     kept = ~np.isnan(rho)
@@ -365,5 +356,4 @@ def rolling_six(
         entries=tuple(entries),
         skipped=tuple(skipped),
         pairs_dropped=pairs_dropped,
-        load_report=p.load_report,
     )

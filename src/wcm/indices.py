@@ -74,20 +74,16 @@ def midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def centred_correlation(a: np.ndarray, varying: np.ndarray | None = None) -> np.ndarray:
+def centred_correlation(a: np.ndarray) -> np.ndarray:
     """Pairwise correlations of the columns of a centred ``(n, d)`` array from
     one Gram product: ``G = a.T @ a`` and ``rho_ij = G_ij / sqrt(G_ii G_jj)``
-    clipped to [-1, 1].  The rows and columns of the columns that do not vary
-    are NaN; by default those are the columns with ``G_ii == 0``, which is
-    exact for centred ranks.  The row order of ``a`` does not matter."""
+    clipped to [-1, 1].  A column of exact zeros, which a constant column of
+    centred ranks always is, has ``G_ii == 0`` and ``G_ij == +/-0``, so its
+    row and column are 0/0 = NaN.  The row order of ``a`` does not matter."""
     gram = a.T @ a
     diag = np.diag(gram)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rho = np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
-    if varying is None:
-        varying = diag > 0.0
-    rho[~np.outer(varying, varying)] = np.nan
-    return rho
+        return np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:

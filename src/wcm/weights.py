@@ -79,14 +79,13 @@ def validate_wcm_existence(w: "WeightVector | Iterable[float]") -> bool:
     """True iff a copula concentrated on ``w . u == sum(w)/2`` exists.
 
     The criterion is ``max(w) <= sum(w) - max(w)``; equality counts as
-    existent (degenerate triangle).  It compares ``2*max(w)``, which is exact,
-    with the correctly rounded ``fsum(w)``, with no epsilon: exact up to that
-    one rounding, so ``(1.0000000000000002, 8.673617379884035e-19, 1)`` exists
-    though its exact ``2*max - sum`` is 2.2e-16.  Every copula builder follows
-    this decision through :func:`require_wcm_existence`.
+    existent (degenerate triangle).  It is the sign of :func:`existence_deficit`,
+    the exact ``2*max(w)`` less the correctly rounded ``fsum(w)``, with no epsilon:
+    exact up to that one rounding, so ``(1.0000000000000002, 8.673617379884035e-19,
+    1)`` exists though its exact ``2*max - sum`` is 2.2e-16.  Every copula builder
+    follows this decision through :func:`require_wcm_existence`.
     """
-    w = as_weight_vector(w)
-    return 2.0 * w.wmax <= w.s1
+    return existence_deficit(w) <= 0.0
 
 
 def require_wcm_existence(w: "WeightVector | Iterable[float]") -> WeightVector:

@@ -4,6 +4,7 @@ rolling window, the rolling ranks that slide from window to window, the SIX
 average of a rho matrix, and the arcsine map on arrays."""
 
 import datetime as dt
+import itertools
 import math
 import warnings
 
@@ -24,6 +25,7 @@ from wcm.data import (SLIDE_ROWS, PriceSeries, _lognormal_pair_rhos, _rolling_ra
 from wcm.errors import DomainError
 from wcm.indices import (
     LognormalModel,
+    centred_correlation,
     gaussian_spearman,
     midranks,
     pair_weight_matrix,
@@ -114,14 +116,33 @@ def test_equal_and_reversed_rank_columns_are_exact():
 
 
 def test_constant_columns_are_masked_without_runtime_warnings():
-    block = np.column_stack((np.arange(10.0), np.full(10, 0.1), np.arange(10.0) ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for estimator in ("rank", "lognormal"):
+        for n, estimator in itertools.product((10, 84), ("rank", "lognormal")):
+            # a column of 0.1 centres to 1.4e-17 at 10 rows and 1.7e-16 at 84, not 0.0
+            block = np.column_stack((np.arange(n), np.full(n, 0.1), np.arange(n) ** 2.0))
             rho = window_rhos(block, estimator)
             assert np.isnan(rho).tolist() == [[False, True, False], [True] * 3,
                                               [False, True, False]]
             assert rho[0, 2] == 1.0 or estimator != "rank"
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks(max_n=60, max_d=8), st.data())
+def test_centred_correlation_of_a_constant_column_is_nan_and_leaves_the_rest(block, data):
+    d = block.shape[1]
+    constant = data.draw(st.lists(st.integers(0, d - 1), max_size=d))
+    block[:, constant] = 1.0
+    ranks = midranks(block) - 0.5 * (len(block) + 1)
+    varying = np.ptp(block, axis=0) > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rho = centred_correlation(ranks)
+        alone = centred_correlation(ranks[:, varying])
+    nan = ~np.outer(varying, varying)
+    assert np.isnan(rho[nan]).all()
+    # centred ranks are multiples of 1/2, so every Gram entry is exact
+    assert rho[np.ix_(varying, varying)].tobytes() == alone.tobytes()
 
 
 def series_from(returns):
