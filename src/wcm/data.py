@@ -44,17 +44,13 @@ DEFAULT_WINDOW = 84  # "four months" of observations at ~21 trading days/month
 # us); the crossover was about 5 rows at 21-row windows and 7 at 168 rows.
 SLIDE_ROWS = 6
 
-_BAD_PRICE = "missing or non-positive price"
-
 
 @dataclass(frozen=True)
 class LoadReport:
-    rows_read: int
-    dropped: tuple[tuple[str, str], ...]  # (date string, reason)
+    """The nonblank rows of a price CSV, and how many of them ``load_prices`` dropped."""
 
-    @property
-    def rows_dropped(self) -> int:
-        return len(self.dropped)
+    rows_read: int
+    rows_dropped: int
 
 
 @dataclass(frozen=True)
@@ -109,10 +105,10 @@ def _parse_date(text: str) -> dt.date:
 def load_prices(path, index_column: str | None = None) -> PriceSeries:
     """Read a price CSV (header ``date,<ticker>,...``) into a PriceSeries.
 
-    Rows with missing cells or non-positive prices are dropped and counted in
-    the load report.  Duplicate dates and out-of-order dates are errors, not
-    silently repaired, and so are empty or repeated ticker names.  A leading
-    UTF-8 byte-order mark is skipped.
+    Rows with a wrong cell count or a missing, malformed or non-positive price
+    are dropped and counted in ``load_report.rows_dropped``.  Duplicate dates
+    and out-of-order dates are errors, not silently repaired, and so are empty
+    or repeated ticker names.  A leading UTF-8 byte-order mark is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -129,27 +125,26 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
             raise DomainError(f"{path}: ticker names must be nonempty and distinct, got {tickers}")
         if index_column is not None and index_column not in tickers:
             raise DomainError(f"{path}: index column {index_column!r} not in {tickers}")
-        rows: list[tuple[str, dt.date, str]] = []  # (date string, date, reason if dropped)
+        dates: list[dt.date] = []
         cells: list[list[float]] = []
         unparsed = [math.nan] * len(tickers)
         for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
-            reason, values = "wrong number of cells", unparsed
+            values = unparsed
             if len(record) - 1 == len(tickers):
-                reason = _BAD_PRICE
                 try:  # float() strips the whitespace str.strip() does
                     values = list(map(float, record[1:]))
                 except ValueError:
                     pass
-            rows.append((record[0], _parse_date(record[0]), reason))
+            dates.append(_parse_date(record[0]))
             cells.append(values)
-    table = np.array(cells).reshape(len(rows), len(tickers))
+    table = np.array(cells).reshape(len(dates), len(tickers))
     usable = ((table > 0.0) & (table < math.inf)).all(axis=1)
-    if not usable.any():
+    kept = int(np.count_nonzero(usable))
+    if not kept:
         raise DomainError(f"{path}: no usable rows")
-    report = LoadReport(rows_read=len(rows), dropped=tuple(
-        (text, reason) for (text, _, reason), ok in zip(rows, usable) if not ok))
+    report = LoadReport(rows_read=len(dates), rows_dropped=len(dates) - kept)
     table = table[usable]
     market_index = None
     if index_column is not None:
@@ -158,7 +153,7 @@ def load_prices(path, index_column: str | None = None) -> PriceSeries:
         table = np.delete(table, pos, axis=1)
         tickers = tickers[:pos] + tickers[pos + 1:]
     return PriceSeries(
-        dates=tuple(date for (_, date, _), ok in zip(rows, usable) if ok),
+        dates=tuple(date for date, ok in zip(dates, usable) if ok),
         tickers=tuple(tickers),
         prices=table,
         market_index=market_index,

@@ -37,7 +37,6 @@ __all__ = [
     "LognormalModel",
     "midranks",
     "centred_correlation",
-    "spearman_rho",
     "spearman_matrix",
     "gaussian_spearman",
     "six",
@@ -84,21 +83,6 @@ def centred_correlation(a: np.ndarray) -> np.ndarray:
     diag = np.diag(gram)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.clip(gram / np.sqrt(np.outer(diag, diag)), -1.0, 1.0)
-
-
-def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Spearman's rho: Pearson correlation of mid-ranks.
-
-    Ties get average ranks.  Exactly 1 for strictly concordant tie-free data
-    and exactly -1 for strictly discordant.
-    """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise DimensionError("spearman_rho expects 1-d columns")
-    if len(xa) != len(ya):
-        raise DimensionError(f"length mismatch: {len(xa)} vs {len(ya)}")
-    return float(spearman_matrix(np.column_stack((xa, ya)))[0, 1])
 
 
 def spearman_matrix(data: "SampleMatrix | np.ndarray") -> np.ndarray:
@@ -207,23 +191,21 @@ def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") 
 
 @dataclass(frozen=True)
 class LognormalModel:
-    """Multivariate lognormal: ``X = exp(Z)`` with ``Z ~ N(mu, cov)``.
-
-    ``cov`` is the covolatility matrix of the log returns; its implied
-    correlation matrix fully determines the (Gaussian) copula.
+    """Multivariate lognormal: ``X = exp(Z)`` with ``Z`` Gaussian of covariance
+    ``cov``, the covolatility matrix of the log returns.  Its implied
+    correlation matrix fully determines the (Gaussian) copula; the drift of
+    ``Z`` changes neither, so the model has none.
     """
 
-    mu: tuple[float, ...]
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = tuple(float(v) for v in self.mu)
         cov = np.asarray(self.cov, dtype=float)
+        if not np.isfinite(cov).all():
+            raise ModelError("covolatility entries must be finite")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ModelError(f"covolatility matrix must be square, got shape {cov.shape}")
-        if len(mu) != cov.shape[0]:
-            raise ModelError(f"mu has length {len(mu)} but cov is {cov.shape[0]}x{cov.shape[0]}")
-        if len(mu) < 2:
+        if len(cov) < 2:
             raise ModelError("need at least 2 assets")
         scale = float(np.max(np.abs(cov))) or 1.0
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * scale):
@@ -233,12 +215,11 @@ class LognormalModel:
             raise ModelError("covolatility diagonal must be strictly positive")
         if float(np.linalg.eigvalsh(cov).min()) < -1e-10 * scale:
             raise ModelError("covolatility matrix must be positive semidefinite")
-        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
 
     @property
     def d(self) -> int:
-        return len(self.mu)
+        return len(self.cov)
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -251,22 +232,23 @@ class LognormalModel:
         return np.clip(corr, -1.0, 1.0)
 
     @classmethod
-    def bivariate(cls, rho: float, sigma1: float, sigma2: float,
-                  mu: Sequence[float] = (0.0, 0.0)) -> "LognormalModel":
+    def bivariate(cls, rho: float, sigma1: float, sigma2: float) -> "LognormalModel":
         if not -1.0 <= rho <= 1.0:
             raise ModelError(f"correlation must lie in [-1, 1], got {rho!r}")
+        if sigma1 <= 0.0 or sigma2 <= 0.0:
+            raise ModelError("volatilities must be positive")
         cov = np.array(
             [[sigma1 * sigma1, rho * sigma1 * sigma2],
              [rho * sigma1 * sigma2, sigma2 * sigma2]]
         )
-        return cls(tuple(mu), cov)
+        return cls(cov)
 
 
 def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
     """Population SIX of a lognormal model via the Gaussian-copula arcsine map.
 
-    Depends on the model only through its copula correlations: the drift and
-    the marginal volatilities cancel.
+    Depends on the model only through its copula correlations: the marginal
+    volatilities cancel.
     """
     wv = as_weight_vector(w)
     if wv.d != model.d:

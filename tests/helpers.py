@@ -8,8 +8,9 @@ and the least-squares variant-B construction that the closed form of
 ``wcm.copula`` replaced, and the row-wise sample draw, gather and CSV writer
 that its column-wise path replaced, and the Monte Carlo variance on unscaled
 weights, the per-batch sums with fresh temporaries, and the central-moment
-merge that the sums about the known mean replaced, kept as oracles; and
-weights next to the existence boundary."""
+merge that the sums about the known mean replaced, kept as oracles; the
+exact variance of ``w . U`` and the population Spearman matrix of a built
+coupling; and weights next to the existence boundary."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -485,3 +487,38 @@ def boundary_weights(draw, sizes=st.integers(3, 6)) -> tuple[float, ...]:
     rest = draw(st.lists(_SCALED, min_size=d - 1, max_size=d - 1))
     total = rest[0] + rest[1] if len(rest) == 2 else math.fsum(rest)
     return tuple(draw(st.permutations([*rest, _nudged(total, draw(st.integers(-2, 2)))])))
+
+
+def coupling_variance_exact(copula, w) -> Fraction:
+    """``Var(w . U)`` of a built coupling, exactly, in Fractions of its float
+    vertices and masses and of ``w``.  Column ``i`` reads its group's
+    coordinate, so along ``w`` segment ``k`` is a uniform law on ``[B_k, A_k]``
+    with ``A_k``, ``B_k`` the aggregates of ``w`` dotted with its two ends, and
+    ``Var = sum m_k (A_k^2 + A_k B_k + B_k^2) / 3 - (sum m_k (A_k + B_k) / 2)^2``."""
+    agg = [sum(Fraction(w[i]) for i in g) for g in copula.groups]
+    mean = square = Fraction(0)
+    for (start, end), mass in zip(copula._segments(), copula.masses):
+        a = sum(x * Fraction(v) for x, v in zip(agg, start))
+        b = sum(x * Fraction(v) for x, v in zip(agg, end))
+        mean += Fraction(mass) * (a + b) / 2
+        square += Fraction(mass) * (a * a + a * b + b * b) / 3
+    return square - mean * mean
+
+
+def coupling_spearman_exact(copula) -> list[list[Fraction]]:
+    """The population Spearman matrix of a built coupling's columns, exactly,
+    in Fractions of its float vertices and masses.  On a segment
+    ``t p + (1 - t) q``, ``E[U_g U_h] = p_g p_h / 3 + q_g q_h / 3 +
+    (p_g q_h + q_g p_h) / 6``; weighted by mass, ``rho = 12 E - 3``, and column
+    ``i`` reads its group's coordinate."""
+    k = len(copula.groups)
+    moment = [[Fraction(0)] * k for _ in range(k)]
+    for (start, end), mass in zip(copula._segments(), copula.masses):
+        p, q, m = [Fraction(v) for v in start], [Fraction(v) for v in end], Fraction(mass)
+        for g in range(k):
+            for h in range(k):
+                moment[g][h] += m * ((p[g] * p[h] + q[g] * q[h]) / 3
+                                     + (p[g] * q[h] + q[g] * p[h]) / 6)
+    coord = {i: g for g, members in enumerate(copula.groups) for i in members}
+    return [[12 * moment[coord[i]][coord[j]] - 3 for j in range(copula.d)]
+            for i in range(copula.d)]

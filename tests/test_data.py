@@ -66,7 +66,7 @@ class TestLoadPrices:
         series = load_prices(self.write(tmp_path, text))
         assert series.n == 2
         assert series.load_report.rows_dropped == 1
-        assert series.load_report.dropped[0][0] == "2021-01-02"
+        assert series.dates == (dt.date(2021, 1, 1), dt.date(2021, 1, 3))
 
     def test_missing_cell_dropped(self, tmp_path):
         text = "date,A,B\n2021-01-01,1,2\n2021-01-02,,2\n"
@@ -79,9 +79,7 @@ class TestLoadPrices:
         series = load_prices(self.write(tmp_path, text))
         assert series.n == 1
         assert series.load_report.rows_dropped == 2
-        assert {reason for _, reason in series.load_report.dropped} == {
-            "wrong number of cells"
-        }
+        assert series.dates == (dt.date(2021, 1, 1),)
 
     def test_unsorted_dates_error(self, tmp_path):
         text = "date,A\n2021-01-02,1\n2021-01-01,2\n"
@@ -134,7 +132,7 @@ def price_tables(draw):
     """A price CSV with BOMs, trailing commas, blank lines, malformed cells and
     dates, repeated or unsorted dates and repeated tickers, plus the
     ``LoadReport`` it must give, or None if it must be rejected, and the
-    number of rows it keeps."""
+    dates of the rows it keeps."""
     names = draw(st.lists(st.sampled_from(["A", "B", "C", "SPX"]), min_size=1, max_size=4))
     header = ["date", *names] + [""] * draw(st.booleans())  # a trailing comma
     valid = "" not in header[1:] and len(set(header[1:])) == len(header[1:])
@@ -152,14 +150,11 @@ def price_tables(draw):
         rows.append((date, date_ok, len(cells) == len(header) - 1, all(ok for _, ok in cells)))
     text = "\n".join(lines) + "\n" * draw(st.booleans())
     bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
-    dropped = tuple((date, "wrong number of cells" if not arity else
-                     "missing or non-positive price")
-                    for date, _, arity, prices in rows if not (arity and prices))
     kept = [date for date, _, arity, prices in rows if arity and prices]
     valid = valid and all(ok for _, ok, _, _ in rows) and kept and all(
         a < b for a, b in zip(kept, kept[1:]))
-    report = LoadReport(len(rows), dropped) if valid else None
-    return bom + text.encode(), report, len(kept)
+    report = LoadReport(len(rows), len(rows) - len(kept)) if valid else None
+    return bom + text.encode(), report, tuple(kept)
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,7 +170,7 @@ def test_load_prices_fuzz(table):
         else:
             series = load_prices(path)
             assert series.load_report == report
-            assert series.n == kept
+            assert tuple(map(dt.date.isoformat, series.dates)) == kept
 
 
 class TestDetrend:

@@ -31,28 +31,28 @@ from wcm.indices import (
     six,
     six_bounds,
     six_lognormal,
-    spearman_rho,
+    spearman_matrix,
 )
+
+
+def rank_rho(x, y) -> float:
+    return spearman_matrix(np.column_stack((x, y)))[0, 1]
 
 
 class TestSpearmanRho:
     def test_perfect_concordance_is_exactly_one(self):
-        assert spearman_rho([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
+        assert rank_rho([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
 
     def test_perfect_discordance_is_exactly_minus_one(self):
-        assert spearman_rho([1, 2, 3, 4], [8, 6, 4, 2]) == -1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            spearman_rho([1, 2, 3], [1, 2])
+        assert rank_rho([1, 2, 3, 4], [8, 6, 4, 2]) == -1.0
 
     def test_constant_column(self):
         with pytest.raises(DegenerateDataError):
-            spearman_rho([1, 2, 3], [5, 5, 5])
+            rank_rho([1, 2, 3], [5, 5, 5])
 
     def test_ties_use_midranks(self):
         # hand computation: x ranks (1.5, 1.5, 3), y ranks (1, 2, 3)
-        value = spearman_rho([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        value = rank_rho([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
         assert value == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_matches_triple_enumeration_oracle(self):
@@ -69,7 +69,7 @@ class TestSpearmanRho:
             y = 0.5 * x + rng.standard_normal(n)
             assert len(np.unique(x)) == n and len(np.unique(y)) == n
             oracle = spearman_oracle(x, y)
-            assert abs(oracle - spearman_rho(x, y) * factor) < 1e-12
+            assert abs(oracle - rank_rho(x, y) * factor) < 1e-12
 
 
 class TestSix:
@@ -183,14 +183,14 @@ class TestGaussianSpearman:
 
 class TestSixLognormal:
     def test_all_rho_one_is_exactly_one(self):
-        model = LognormalModel((0.0, 1.0, -2.0), np.array(
+        model = LognormalModel(np.array(
             [[4.0, 2.0, 6.0], [2.0, 1.0, 3.0], [6.0, 3.0, 9.0]]
         ))
         assert np.allclose(model.correlations, 1.0)
         assert six_lognormal((5, 4, 3), model) == 1.0
 
     def test_all_rho_zero_is_zero(self):
-        model = LognormalModel((0.0, 0.0), np.diag([1.0, 4.0]))
+        model = LognormalModel(np.diag([1.0, 4.0]))
         assert six_lognormal((1, 2), model) == 0.0
 
     def test_bivariate_value(self):
@@ -201,16 +201,15 @@ class TestSixLognormal:
         with pytest.raises(DimensionError, match="2 assets"):
             six_lognormal((1, 1, 1), LognormalModel.bivariate(0.5, 1.0, 1.0))
 
-    def test_independent_of_drift_and_scale(self):
+    def test_independent_of_scale(self):
         rng = np.random.default_rng(11)
         corr = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 1.0]])
         w = (2, 1, 3)
-        base = six_lognormal(w, LognormalModel((0.0, 0.0, 0.0), corr))
+        base = six_lognormal(w, LognormalModel(corr))
         for _ in range(10):
             scales = rng.uniform(0.1, 10.0, size=3)
             cov = corr * np.outer(scales, scales)
-            mu = tuple(rng.standard_normal(3))
-            assert abs(six_lognormal(w, LognormalModel(mu, cov)) - base) <= 1e-15
+            assert abs(six_lognormal(w, LognormalModel(cov)) - base) <= 1e-15
 
     def test_strictly_increasing_in_rho(self):
         grid = np.linspace(-0.9, 0.9, 19)
@@ -238,19 +237,30 @@ class TestSixLognormal:
 class TestLognormalModel:
     def test_rejects_non_psd(self):
         with pytest.raises(ModelError):
-            LognormalModel((0.0, 0.0), np.array([[1.0, 2.0], [2.0, 1.0]]))
+            LognormalModel(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ModelError):
-            LognormalModel((0.0, 0.0), np.array([[1.0, 0.5], [0.2, 1.0]]))
+            LognormalModel(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(ModelError):
-            LognormalModel((0.0, 0.0), np.array([[1.0, 0.0], [0.0, 0.0]]))
+            LognormalModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_correlations(self):
         model = LognormalModel.bivariate(0.5, 2.0, 3.0)
         assert model.correlations[0, 1] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_entry_first(self, entry):
+        for cov in ([[entry, 0.0], [0.0, 1.0]], [[1.0, entry]], [[entry]]):
+            with pytest.raises(ModelError, match="entries must be finite"):
+                LognormalModel(np.array(cov))
+
+    @pytest.mark.parametrize("sigmas", [(-0.7, 1.3), (0.7, -1.3), (0.0, 1.0), (1.0, -0.0)])
+    def test_bivariate_rejects_a_non_positive_volatility(self, sigmas):
+        with pytest.raises(ModelError, match="volatilities must be positive"):
+            LognormalModel.bivariate(0.5, *sigmas)
 
 
 class TestRhix:

@@ -295,7 +295,7 @@ def test_weighted_six_matches_the_pairs_tuple_average(case):
 def test_six_lognormal_matches_the_pairs_tuple_average(d, seed):
     rng = np.random.default_rng(seed)
     factor = rng.standard_normal((d, d + 1))
-    model = LognormalModel(tuple(rng.standard_normal(d)), factor @ factor.T)
+    model = LognormalModel(factor @ factor.T)
     w = rng.uniform(0.1, 5.0, size=d).tolist()
     # the arcsine map on the upper triangle, as first written
     pairs, rhos = upper_pairs(gaussian_spearman(np.triu(model.correlations, 1)))
