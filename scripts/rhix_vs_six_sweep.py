@@ -13,7 +13,7 @@ changes, only the marginals do.  Output columns:
 import argparse
 import sys
 
-from wcm.indices import LognormalModel, rhix_lognormal_bivariate, six_lognormal
+from wcm.indices import rhix_lognormal_bivariate, six_lognormal
 
 
 def main() -> int:
@@ -35,10 +35,7 @@ def main() -> int:
     for sigma in sigmas:
         row = [repr(sigma)]
         row += [repr(rhix_lognormal_bivariate(rho, sigma, sigma)) for rho in args.rhos]
-        row += [
-            repr(six_lognormal((1, 1), LognormalModel.bivariate(rho, sigma, sigma)))
-            for rho in args.rhos
-        ]
+        row += [repr(six_lognormal([[1.0, rho], [rho, 1.0]], (1, 1))) for rho in args.rhos]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out == "-":

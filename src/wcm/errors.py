@@ -30,4 +30,4 @@ class DegenerateDataError(WcmError, ValueError):
 
 
 class ModelError(WcmError, ValueError):
-    """Invalid model specification (e.g. a non-PSD covolatility matrix)."""
+    """Invalid model specification (e.g. a non-PSD correlation matrix)."""

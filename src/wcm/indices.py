@@ -1,5 +1,6 @@
-"""Rank correlation, the SIX herd behavior index with its sharp bounds, and
-the closed-form lognormal SIX and two-asset covariance-ratio index (RHIX).
+"""Rank correlation, the SIX herd behavior index with its sharp bounds, the
+population SIX of a Gaussian copula, and the closed-form two-asset lognormal
+covariance-ratio index (RHIX).
 
 SIX is the ``w_i w_j``-weighted average of pairwise Spearman's rhos.  It
 depends on the data only through ranks, so it is invariant to strictly
@@ -10,14 +11,15 @@ increasing transformations of the marginals.  Its sharp range is::
 with the upper end reached by comonotonicity and the lower end by the
 weighted-countermonotonic coupling on the shrunken weights.  The two-asset
 RHIX is a covariance ratio that does depend on the marginals; its lognormal
-closed form is provided as a contrast.
+closed form is provided as a contrast.  A lognormal model's copula is the
+Gaussian copula of its log returns' correlation matrix, so that matrix alone
+gives its SIX: the volatilities never enter.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +35,6 @@ from .errors import (
 from .weights import WeightVector, as_weight_vector, unit_scaled
 
 __all__ = [
-    "SixReport",
-    "LognormalModel",
     "midranks",
     "centred_correlation",
     "spearman_matrix",
@@ -118,14 +118,6 @@ def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
     return float(value) if value.ndim == 0 else value
 
 
-@dataclass(frozen=True)
-class SixReport:
-    """SIX value and whether it lies within its sharp bounds."""
-
-    six: float
-    within_bounds: bool
-
-
 def _scaled_weights(w: "WeightVector | Iterable[float]") -> tuple[float, ...]:
     """The ``unit_scaled`` weights.  A weight that scales to 0.0, as when the
     ratio of the weights exceeds the float range, is an
@@ -181,80 +173,34 @@ def weighted_six(
     return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, len(weights)
 
 
-def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> SixReport:
+def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> float:
     """Rank-based SIX of a data matrix (columns are variables)."""
     wv = as_weight_vector(w)
     rho = spearman_matrix(sample_values(data, wv.d))
-    value, within, _ = weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))
-    return SixReport(six=value, within_bounds=within)
+    return weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))[0]
 
 
-@dataclass(frozen=True)
-class LognormalModel:
-    """Multivariate lognormal: ``X = exp(Z)`` with ``Z`` Gaussian of covariance
-    ``cov``, the covolatility matrix of the log returns.  Its implied
-    correlation matrix fully determines the (Gaussian) copula; the drift of
-    ``Z`` changes neither, so the model has none.
-    """
+def six_lognormal(corr: "np.ndarray | Sequence[Sequence[float]]",
+                  w: "WeightVector | Iterable[float]") -> float:
+    """Population SIX of a Gaussian copula, and so of a lognormal model, from
+    its ``d x d`` correlation matrix via the arcsine map ``gaussian_spearman``.
 
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        cov = np.asarray(self.cov, dtype=float)
-        if not np.isfinite(cov).all():
-            raise ModelError("covolatility entries must be finite")
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ModelError(f"covolatility matrix must be square, got shape {cov.shape}")
-        if len(cov) < 2:
-            raise ModelError("need at least 2 assets")
-        scale = float(np.max(np.abs(cov))) or 1.0
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * scale):
-            raise ModelError("covolatility matrix must be symmetric")
-        diag = np.diag(cov)
-        if np.any(diag <= 0.0):
-            raise ModelError("covolatility diagonal must be strictly positive")
-        if float(np.linalg.eigvalsh(cov).min()) < -1e-10 * scale:
-            raise ModelError("covolatility matrix must be positive semidefinite")
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def d(self) -> int:
-        return len(self.cov)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
-
-    @property
-    def correlations(self) -> np.ndarray:
-        s = self.sigmas
-        corr = self.cov / np.outer(s, s)
-        return np.clip(corr, -1.0, 1.0)
-
-    @classmethod
-    def bivariate(cls, rho: float, sigma1: float, sigma2: float) -> "LognormalModel":
-        if not -1.0 <= rho <= 1.0:
-            raise ModelError(f"correlation must lie in [-1, 1], got {rho!r}")
-        if sigma1 <= 0.0 or sigma2 <= 0.0:
-            raise ModelError("volatilities must be positive")
-        cov = np.array(
-            [[sigma1 * sigma1, rho * sigma1 * sigma2],
-             [rho * sigma1 * sigma2, sigma2 * sigma2]]
-        )
-        return cls(cov)
-
-
-def six_lognormal(w: "WeightVector | Iterable[float]", model: LognormalModel) -> float:
-    """Population SIX of a lognormal model via the Gaussian-copula arcsine map.
-
-    Depends on the model only through its copula correlations: the marginal
-    volatilities cancel.
+    The matrix must be finite with entries in [-1, 1], symmetric and with a
+    unit diagonal within 1e-12 (``np.corrcoef`` can give 0.9999999999999998),
+    and positive semidefinite within 1e-10; otherwise a :class:`ModelError`.
+    A shape other than ``(d, d)`` for ``d`` weights is a :class:`DimensionError`.
     """
     wv = as_weight_vector(w)
-    if wv.d != model.d:
-        raise DimensionError(f"weights have d={wv.d} but the model has {model.d} assets")
-    rho = gaussian_spearman(model.correlations)
-    return weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))[0]
+    c = np.asarray(corr, dtype=float)
+    if c.shape != (wv.d, wv.d):
+        raise DimensionError(f"weights have d={wv.d} but the correlation matrix has shape {c.shape}")
+    if not np.all(np.abs(c) <= 1.0):  # NaN fails too
+        raise ModelError("correlations must be finite and lie in [-1, 1]")
+    if np.abs(c - c.T).max() > 1e-12 or np.abs(np.diag(c) - 1.0).max() > 1e-12:
+        raise ModelError("correlation matrix must be symmetric with a unit diagonal")
+    if float(np.linalg.eigvalsh(c).min()) < -1e-10:
+        raise ModelError("correlation matrix must be positive semidefinite")
+    return weighted_six(gaussian_spearman(c), pair_weight_matrix(wv), six_bounds(wv))[0]
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:

@@ -21,9 +21,8 @@ from helpers import (
     spearman_oracle,
 )
 from wcm.bounds import mc_variance, optimal_coupling
-from wcm.copula import build_grouped_wcm, build_triangle, check_wcm
+from wcm.copula import build_grouped_wcm, build_triangle, check_wcm, make_rng
 from wcm.indices import (
-    LognormalModel,
     gaussian_spearman,
     rhix_degeneracy_curve,
     six,
@@ -182,10 +181,10 @@ def test_built_coupling_variance_is_the_lower_bound(w):
 
 def test_criterion_5_six_attainment():
     n = 100_000
-    comon = six(ComonotonicCopula(3).sample(n, seed=5001), (5, 4, 3)).six
-    strict = six(build_triangle((1, 1, 1), "A").sample(n, seed=5002), (1, 1, 1)).six
+    comon = six(ComonotonicCopula(3).sample(n, seed=5001), (5, 4, 3))
+    strict = six(build_triangle((1, 1, 1), "A").sample(n, seed=5002), (1, 1, 1))
     coupling, _ = optimal_coupling((5, 1, 1))
-    shrunk = six(coupling.sample(n, seed=5003), (5, 1, 1)).six
+    shrunk = six(coupling.sample(n, seed=5003), (5, 1, 1))
     ok = comon == 1.0 and abs(strict - (-0.5)) < 0.02 and abs(shrunk - (-9 / 11)) < 0.02
     report(
         5,
@@ -214,17 +213,15 @@ def test_built_coupling_spearman_matrix_has_the_weights_as_null_vector(w):
 
 
 def test_criterion_6_lognormal_identities():
-    exact_one = six_lognormal((2, 3), LognormalModel.bivariate(1.0, 0.7, 1.3))
+    exact_one = six_lognormal([[1.0, 1.0], [1.0, 1.0]], (2, 3))
 
     n = 10**6
     u = gaussian_copula_sample(np.array([[1.0, 0.5], [0.5, 1.0]]), n, seed=6001)
-    rank_six = six(u, (1, 1)).six
+    rank_six = six(u, (1, 1))
     arcsine = gaussian_spearman(0.5)
 
     cov = np.array([[1.0, 0.3], [0.3, 1.0]])
     z = np.linalg.cholesky(cov)
-    from wcm.copula import make_rng
-
     x = np.exp(make_rng(6002).standard_normal((n, 2)) @ z.T)
     centered = (x[:, 0] - x[:, 0].mean()) * (x[:, 1] - x[:, 1].mean())
     sample_cov = float(np.sum(centered) / (n - 1))
@@ -249,13 +246,22 @@ def test_criterion_7_rhix_degeneracy_vs_six_constancy():
     sweep = [round(0.1 * k, 10) for k in range(1, 51)]
     curve = rhix_degeneracy_curve(0.5, sweep)  # raises unless strictly decreasing
     tail = curve[-1][1]
-    six_values = {six_lognormal((1, 1), LognormalModel.bivariate(0.5, s, s)) for s in sweep}
-    ok = tail < 1e-5 and len(six_values) == 1
+    # One Gaussian Z per rho: exp(sigma * Z) is lognormal and only its
+    # marginals move along the sweep, so its rank SIX must not move at all.
+    normals = make_rng(7007).standard_normal((5000, 2))
+    rank_values, closed_exact = [], True
+    for rho in (0.25, 0.5, 0.75):
+        corr = [[1.0, rho], [rho, 1.0]]
+        z = normals @ np.linalg.cholesky(corr).T
+        rank_values.append({six(np.exp(s * z), (1, 1)) for s in sweep})
+        closed_exact &= six_lognormal(corr, (1, 1)) == gaussian_spearman(rho)
+    ok = tail < 1e-5 and all(len(v) == 1 for v in rank_values) and closed_exact
     report(
         7,
         ok,
-        f"curve strictly decreasing, tail {tail:.2e} < 1e-5; "
-        f"six constant at {six_values.pop():.6f} across the sweep",
+        f"curve strictly decreasing, tail {tail:.2e} < 1e-5; rank six of exp(sigma*Z) "
+        f"takes {[len(v) for v in rank_values]} values across the sweep at rho 0.25/0.5/0.75; "
+        f"six_lognormal == gaussian_spearman bit for bit: {closed_exact}",
     )
 
 
@@ -274,12 +280,12 @@ def test_criterion_8_marginal_freedom():
         d = int(rng.integers(2, 5))
         data = rng.random((400, d))
         weights = tuple(rng.uniform(0.5, 5.0, size=d))
-        base = six(data, weights).six
+        base = six(data, weights)
         picks = rng.integers(0, len(transforms), size=d)
         transformed = np.column_stack(
             [transforms[picks[k]](data[:, k]) for k in range(d)]
         )
-        trials_ok += six(transformed, weights).six == base
+        trials_ok += six(transformed, weights) == base
     ok = trials_ok == 20
     report(8, ok, f"{trials_ok}/20 trials bit-identical under increasing transforms")
 

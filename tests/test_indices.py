@@ -23,7 +23,6 @@ from wcm.errors import (
     ModelError,
 )
 from wcm.indices import (
-    LognormalModel,
     gaussian_spearman,
     pair_weight_matrix,
     rhix_degeneracy_curve,
@@ -32,11 +31,16 @@ from wcm.indices import (
     six_bounds,
     six_lognormal,
     spearman_matrix,
+    weighted_six,
 )
 
 
 def rank_rho(x, y) -> float:
     return spearman_matrix(np.column_stack((x, y)))[0, 1]
+
+
+def corr2(rho: float) -> list:
+    return [[1.0, rho], [rho, 1.0]]
 
 
 class TestSpearmanRho:
@@ -75,26 +79,25 @@ class TestSpearmanRho:
 class TestSix:
     def test_comonotonic_is_exactly_one(self):
         s = ComonotonicCopula(3).sample(1000, seed=1)
-        report = six(s, (5, 4, 3))
-        assert report.six == 1.0
-        assert report.within_bounds
+        w = (5, 4, 3)
+        assert six(s, w) == 1.0
+        value, within, n_pairs = weighted_six(spearman_matrix(s), pair_weight_matrix(w),
+                                              six_bounds(w))
+        assert (value, within, n_pairs) == (1.0, True, 3)
 
     def test_strict_equal_weight_attains_lower_bound(self):
         s = build_triangle((1, 1, 1), "A").sample(100_000, seed=2)
-        report = six(s, (1, 1, 1))
-        assert abs(report.six - (-0.5)) < 0.02
+        assert abs(six(s, (1, 1, 1)) - (-0.5)) < 0.02
 
     def test_independent_is_near_zero(self):
         n = 20_000
         s = IndependenceCopula(3).sample(n, seed=3)
-        report = six(s, (2, 1, 1))
-        assert abs(report.six) < 3.0 / math.sqrt(n)
+        assert abs(six(s, (2, 1, 1))) < 3.0 / math.sqrt(n)
 
     def test_shrunken_coupling_attains_lower_bound(self):
         coupling, _ = optimal_coupling((5, 1, 1))
         s = coupling.sample(100_000, seed=4)
-        report = six(s, (5, 1, 1))
-        assert abs(report.six - (-9 / 11)) < 0.02
+        assert abs(six(s, (5, 1, 1)) - (-9 / 11)) < 0.02
 
     def test_bound_containment_across_samplers(self):
         w = (5, 4, 3)
@@ -107,18 +110,18 @@ class TestSix:
         ]
         n = 20_000
         for k, sampler in enumerate(samplers):
-            value = six(sampler.sample(n, seed=600 + k), w).six
+            value = six(sampler.sample(n, seed=600 + k), w)
             assert lower - 3.0 / math.sqrt(n) <= value <= upper + 1e-12
 
     def test_rank_invariance_bit_identical(self):
         rng = np.random.default_rng(7)
         data = rng.random((500, 3))
-        base = six(data, (5, 4, 3)).six
+        base = six(data, (5, 4, 3))
         transforms = (np.exp, lambda c: 3.0 * c + 1.0, lambda c: c**3, np.arctan)
         transformed = np.column_stack(
             [transforms[k % len(transforms)](data[:, k]) for k in range(3)]
         )
-        assert six(transformed, (5, 4, 3)).six == base
+        assert six(transformed, (5, 4, 3)) == base
 
     def test_column_count_checked_before_ranking(self):
         # A constant column cannot be ranked; the shape error must come first.
@@ -183,37 +186,28 @@ class TestGaussianSpearman:
 
 class TestSixLognormal:
     def test_all_rho_one_is_exactly_one(self):
-        model = LognormalModel(np.array(
-            [[4.0, 2.0, 6.0], [2.0, 1.0, 3.0], [6.0, 3.0, 9.0]]
-        ))
-        assert np.allclose(model.correlations, 1.0)
-        assert six_lognormal((5, 4, 3), model) == 1.0
+        assert six_lognormal(np.ones((3, 3)), (5, 4, 3)) == 1.0
 
     def test_all_rho_zero_is_zero(self):
-        model = LognormalModel(np.diag([1.0, 4.0]))
-        assert six_lognormal((1, 2), model) == 0.0
+        assert six_lognormal(np.eye(2), (1, 2)) == 0.0
 
     def test_bivariate_value(self):
-        model = LognormalModel.bivariate(0.5, 1.0, 1.0)
-        assert six_lognormal((1, 1), model) == pytest.approx(0.4825837395309974, abs=1e-15)
+        # one pair's SIX is its arcsine-mapped rho bit for bit, whatever the weights
+        assert six_lognormal(corr2(0.5), (2, 7)) == gaussian_spearman(0.5)
+        assert six_lognormal(corr2(0.5), (1, 1)) == pytest.approx(0.4825837395309974, abs=1e-15)
 
     def test_weight_count_must_match_the_model(self):
-        with pytest.raises(DimensionError, match="2 assets"):
-            six_lognormal((1, 1, 1), LognormalModel.bivariate(0.5, 1.0, 1.0))
+        with pytest.raises(DimensionError, match=r"shape \(2, 2\)"):
+            six_lognormal(corr2(0.5), (1, 1, 1))
 
-    def test_independent_of_scale(self):
-        rng = np.random.default_rng(11)
-        corr = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, -0.3], [0.1, -0.3, 1.0]])
-        w = (2, 1, 3)
-        base = six_lognormal(w, LognormalModel(corr))
-        for _ in range(10):
-            scales = rng.uniform(0.1, 10.0, size=3)
-            cov = corr * np.outer(scales, scales)
-            assert abs(six_lognormal(w, LognormalModel(cov)) - base) <= 1e-15
+    @pytest.mark.parametrize("corr", [np.ones((2, 3)), [1.0, 0.5], [[[1.0]]]])
+    def test_shape_must_be_d_by_d(self, corr):
+        with pytest.raises(DimensionError, match="shape"):
+            six_lognormal(corr, (1, 1))
 
     def test_strictly_increasing_in_rho(self):
         grid = np.linspace(-0.9, 0.9, 19)
-        values = [six_lognormal((1, 1), LognormalModel.bivariate(r, 1.0, 1.0)) for r in grid]
+        values = [six_lognormal(corr2(r), (1, 1)) for r in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_matches_rank_six_of_gaussian_copula(self):
@@ -221,7 +215,7 @@ class TestSixLognormal:
         for k, rho in enumerate((-0.5, 0.0, 0.3, 0.8)):
             corr = np.array([[1.0, rho], [rho, 1.0]])
             u = gaussian_copula_sample(corr, n, seed=700 + k)
-            sample_six = six(u, (1, 1)).six
+            sample_six = six(u, (1, 1))
             assert abs(sample_six - gaussian_spearman(rho)) < 0.01
 
     def test_rank_six_nondecreasing_in_rho_with_common_randomness(self):
@@ -229,38 +223,52 @@ class TestSixLognormal:
         values = []
         for rho in (0.0, 0.2, 0.4, 0.6, 0.8):
             u = gaussian_copula_sample(np.array([[1.0, rho], [rho, 1.0]]), n, seed=800)
-            values.append(six(u, (1, 1)).six)
+            values.append(six(u, (1, 1)))
         slack = 3.0 / math.sqrt(n)
         assert all(b > a - slack for a, b in zip(values, values[1:]))
 
 
 class TestLognormalModel:
+    """A lognormal model's inputs: the correlation matrix of its log returns,
+    which ``six_lognormal`` takes, and the volatilities, which
+    ``rhix_lognormal_bivariate`` takes."""
+
     def test_rejects_non_psd(self):
-        with pytest.raises(ModelError):
-            LognormalModel(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        corr = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]  # eigenvalue -0.8
+        with pytest.raises(ModelError, match="semidefinite"):
+            six_lognormal(corr, (1, 1, 1))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ModelError):
-            LognormalModel(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        with pytest.raises(ModelError, match="symmetric"):
+            six_lognormal([[1.0, 0.5], [0.2, 1.0]], (1, 1))
 
     def test_rejects_bad_diagonal(self):
-        with pytest.raises(ModelError):
-            LognormalModel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        for diag in (0.0, 0.5, 1.0 - 1e-11):
+            with pytest.raises(ModelError, match="unit diagonal"):
+                six_lognormal([[1.0, 0.0], [0.0, diag]], (1, 1))
 
-    def test_correlations(self):
-        model = LognormalModel.bivariate(0.5, 2.0, 3.0)
-        assert model.correlations[0, 1] == pytest.approx(0.5, abs=1e-15)
+    def test_accepts_the_diagonal_corrcoef_can_give(self):
+        corr = np.array(corr2(0.5))
+        corr[1, 1] = 0.9999999999999998
+        assert six_lognormal(corr, (1, 1)) == gaussian_spearman(0.5)
+
+    @pytest.mark.parametrize("rho", [1.5, -1.0000000000000002, 2.0])
+    def test_rejects_a_correlation_beyond_one(self, rho):
+        with pytest.raises(ModelError, match=r"\[-1, 1\]"):
+            six_lognormal(corr2(rho), (1, 1))
 
     @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
     def test_rejects_a_non_finite_entry_first(self, entry):
-        for cov in ([[entry, 0.0], [0.0, 1.0]], [[1.0, entry]], [[entry]]):
-            with pytest.raises(ModelError, match="entries must be finite"):
-                LognormalModel(np.array(cov))
+        # the asymmetric and the bad-diagonal matrices are named by their entry
+        for corr in ([[entry, 0.0], [0.0, 1.0]], [[1.0, entry], [entry, 1.0]],
+                     [[1.0, entry], [0.0, 1.0]]):
+            with pytest.raises(ModelError, match="finite"):
+                six_lognormal(corr, (1, 1))
 
     @pytest.mark.parametrize("sigmas", [(-0.7, 1.3), (0.7, -1.3), (0.0, 1.0), (1.0, -0.0)])
     def test_bivariate_rejects_a_non_positive_volatility(self, sigmas):
         with pytest.raises(ModelError, match="volatilities must be positive"):
-            LognormalModel.bivariate(0.5, *sigmas)
+            rhix_lognormal_bivariate(0.5, *sigmas)
 
 
 class TestRhix:
@@ -326,10 +334,10 @@ class TestDegeneracyCurve:
         curve = rhix_degeneracy_curve(0.5, sweep)
         ratio = curve[0][1] / curve[-1][1]
         assert ratio > 1e4
-        six_values = {
-            six_lognormal((1, 1), LognormalModel.bivariate(0.5, s, s)) for s in sweep
-        }
-        assert len(six_values) == 1
+        # exp(sigma * Z) for one Gaussian Z: only the marginals move
+        z = np.random.default_rng(31).standard_normal((2000, 2)) @ np.linalg.cholesky(
+            corr2(0.5)).T
+        assert len({six(np.exp(s * z), (1, 1)) for s in sweep}) == 1
 
 
 class TestSpearmanMatrixGaussian:

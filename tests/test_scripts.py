@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from wcm.indices import gaussian_spearman
+
 ROOT = Path(__file__).resolve().parents[1]
 SIX_HEADER = "end_date,six,estimator,n_window"
 
@@ -48,7 +50,11 @@ def test_rhix_vs_six_sweep(tmp_path):
     levels = ["0.25", "0.5", "0.75"]
     expected = ["sigma"] + [f"rhix_{r}" for r in levels] + [f"six_{r}" for r in levels]
     assert header(out) == ",".join(expected)
-    assert len(out.read_text().splitlines()) == 1 + 50  # sigma 0.1 to 5.0 by 0.1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 50  # sigma 0.1 to 5.0 by 0.1
+    # the copula never changes along the sweep, so each SIX column is one float
+    for k, level in enumerate(levels):
+        assert {row[1 + len(levels) + k] for row in rows} == {repr(gaussian_spearman(float(level)))}
 
 
 def test_readme_library_quick_start_runs():
