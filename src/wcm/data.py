@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .indices import (centred_correlation, gaussian_spearman, midranks, pair_weight_matrix,
-                      six_bounds, weighted_six)
+                      weighted_six)
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -199,7 +199,6 @@ class WindowSix:
     end_date: dt.date
     six: float
     n_pairs: int
-    within_bounds: bool
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,6 @@ class RollingSixSeries:
                     "estimator": self.estimator,
                     "n_window": self.window,
                     "n_pairs": e.n_pairs,
-                    "within_bounds": e.within_bounds,
                 }
                 for e in self.entries
             ],
@@ -310,11 +308,11 @@ def rolling_six(
     """SIX per rolling window of log returns.
 
     Pairs whose columns are constant inside a window are dropped from the
-    weighted average (the remaining pair weights are renormalized); a window
-    with no valid pair left is skipped.  Both are counted in the result
-    (``pairs_dropped``, ``skipped``), not warned about.  Values outside the
-    sharp bounds get ``within_bounds=False`` (sampling noise, flagged not
-    fatal).
+    weighted average, so a window's SIX is the SIX of its varying columns,
+    with their own ``pair_weight_matrix`` where the weights of the pairs left
+    all round to 0, and it lies within the sharp bounds of their weights.  A
+    window with no valid pair left is skipped.  Both are counted in the
+    result (``pairs_dropped``, ``skipped``), not warned about.
     """
     if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
@@ -324,7 +322,6 @@ def rolling_six(
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")
     returns = log_returns(p)
-    bounds = six_bounds(wv)
     pair_w = pair_weight_matrix(wv)
     all_pairs = p.d * (p.d - 1) // 2
     entries: list[WindowSix] = []
@@ -337,12 +334,16 @@ def rolling_six(
         rhos = (_lognormal_pair_rhos(returns[start:stop]) for start, stop in windows)
     for (_, stop), rho in zip(windows, rhos):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
-        value, within, n_pairs = weighted_six(rho, pair_w, bounds)
+        value, n_pairs = weighted_six(rho, pair_w)
         pairs_dropped += all_pairs - n_pairs
         if not n_pairs:
             skipped.append((end_date, "no valid pairs (constant columns)"))
             continue
-        entries.append(WindowSix(end_date, value, n_pairs, within))
+        if math.isnan(value):  # the weights of the pairs left all underflowed
+            keep = ~np.isnan(rho.diagonal())
+            sub_w = pair_weight_matrix(np.compress(keep, wv.values))
+            value = weighted_six(rho[np.ix_(keep, keep)], sub_w)[0]
+        entries.append(WindowSix(end_date, value, n_pairs))
     return RollingSixSeries(
         weights=wv.values,
         window=window,

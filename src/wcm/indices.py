@@ -49,10 +49,6 @@ __all__ = [
 ]
 
 
-# A SIX value this close outside its sharp bounds still counts as within them.
-BOUND_SLACK = 1e-12
-
-
 def midranks(x: np.ndarray) -> np.ndarray:
     """Mid-ranks (1-based) along axis 0: tied values share the average of the
     first and last position of their run.  The same bits as
@@ -146,38 +142,37 @@ def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
 
 def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
     """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
-    a ``d x d`` matrix, NaN on and below the diagonal, with ``w`` scaled by
-    ``unit_scaled``."""
+    a ``d x d`` matrix, NaN on and below the diagonal: products of the
+    ``unit_scaled`` weights, each rounded once, times the power of two that
+    puts the largest in [1/4, 1), so they never all round to 0."""
     v = np.array(_scaled_weights(w))
-    return np.where(np.tri(len(v), dtype=bool), np.nan, np.outer(v, v))
+    shift = -math.frexp(np.partition(v, -2)[-2])[1]
+    with np.errstate(over="ignore"):  # only the masked diagonal can overflow
+        pair_w = np.outer(np.ldexp(v, shift // 2), np.ldexp(v, shift - shift // 2))
+    return np.where(np.tri(len(v), dtype=bool), np.nan, pair_w)
 
 
-def weighted_six(
-    rho: np.ndarray, pair_w: np.ndarray, bounds: tuple[float, float]
-) -> tuple[float, bool, int]:
+def weighted_six(rho: np.ndarray, pair_w: np.ndarray) -> tuple[float, int]:
     """SIX from a ``d x d`` rho matrix and the ``pair_weight_matrix``:
     ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
-    is not NaN (NaN if no weight is left), whether it lies within the sharp
-    ``bounds`` up to ``BOUND_SLACK``, and the number of pairs used.  Both sums
-    are correctly rounded, so rhos that are all one give exactly 1.0.  One
-    pair's average is its rho itself, which ``w * rho / w`` need not be."""
+    is not NaN, and the number of pairs used; NaN if their weights sum to 0.
+    Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
+    One pair's average is its rho itself whatever its weight, which
+    ``w * rho / w`` need not be."""
     terms = pair_w * rho
     used = ~np.isnan(terms)
     weights = pair_w[used].tolist()
+    if len(weights) == 1:
+        return float(rho[used][0]), 1
     total = math.fsum(weights)
-    if len(weights) == 1 and total:
-        value = float(rho[used][0])
-    else:
-        value = math.fsum(terms[used].tolist()) / total if total else math.nan
-    lower, upper = bounds
-    return value, lower - BOUND_SLACK <= value <= upper + BOUND_SLACK, len(weights)
+    return (math.fsum(terms[used].tolist()) / total if total else math.nan), len(weights)
 
 
 def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> float:
     """Rank-based SIX of a data matrix (columns are variables)."""
     wv = as_weight_vector(w)
     rho = spearman_matrix(sample_values(data, wv.d))
-    return weighted_six(rho, pair_weight_matrix(wv), six_bounds(wv))[0]
+    return weighted_six(rho, pair_weight_matrix(wv))[0]
 
 
 def six_lognormal(corr: "np.ndarray | Sequence[Sequence[float]]",
@@ -200,7 +195,7 @@ def six_lognormal(corr: "np.ndarray | Sequence[Sequence[float]]",
         raise ModelError("correlation matrix must be symmetric with a unit diagonal")
     if float(np.linalg.eigvalsh(c).min()) < -1e-10:
         raise ModelError("correlation matrix must be positive semidefinite")
-    return weighted_six(gaussian_spearman(c), pair_weight_matrix(wv), six_bounds(wv))[0]
+    return weighted_six(gaussian_spearman(c), pair_weight_matrix(wv))[0]
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:

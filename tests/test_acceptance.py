@@ -334,3 +334,13 @@ def test_criterion_10_non_uniqueness():
         f"max CDF gap {gap:.4f} > 1e-6; variant B passes support, exact "
         "marginals, and KS checks",
     )
+
+
+def test_variants_a_and_b_cross_so_neither_lies_below_the_other():
+    # the paper's "minimal, no minimum" in d = 3: two WCM copulas for (5, 4, 3)
+    # whose CDF difference on the 21^3 grid spans [-0.172727, 0.172727]
+    a = build_triangle((5, 4, 3), "A")
+    b = build_triangle((5, 4, 3), "B")
+    grid = np.linspace(0.0, 1.0, 21)
+    diff = [a.cdf((x, y, z)) - b.cdf((x, y, z)) for x in grid for y in grid for z in grid]
+    assert min(diff) < -0.17 and max(diff) > 0.17

@@ -21,7 +21,7 @@ from wcm.data import (
     rolling_windows,
 )
 from wcm.errors import DimensionError, DomainError, WcmError
-from wcm.indices import gaussian_spearman
+from wcm.indices import gaussian_spearman, six
 
 
 def dates_from(n: int, start: dt.date = dt.date(2020, 1, 1)) -> tuple[dt.date, ...]:
@@ -334,12 +334,21 @@ class TestRollingSix:
         assert len(rolling.skipped) == 3
         assert rolling.pairs_dropped == 3
 
-    def test_bound_flagging(self):
-        series = series_from_returns(gaussian_returns(60, np.eye(2), seed=28))
-        rolling = rolling_six(series, window=20, step=20)
-        lower, upper = -1.0, 1.0
-        for entry in rolling.entries:
-            assert entry.within_bounds == (lower <= entry.six <= upper)
+    @pytest.mark.parametrize("estimator", ["rank", "lognormal"])
+    def test_pair_weights_left_that_underflow_give_the_six_of_the_varying_columns(self,
+                                                                                  estimator):
+        # the first ticker halts for 12 rows; the pairs left weigh (5e-201)**2 == 0.0
+        returns = gaussian_returns(30, np.eye(4), seed=31)
+        returns[:12, 0] = 0.0
+        w = (1.0, 1e-200, 1e-200, 1e-200)
+        rolling = rolling_six(series_from_returns(returns), w, window=10, step=5,
+                              estimator=estimator)
+        rest = rolling_six(series_from_returns(returns[:, 1:]), w[1:], window=10, step=5,
+                           estimator=estimator)
+        first = rolling.entries[0]
+        assert (first.six, first.n_pairs) == (rest.entries[0].six, 3)
+        if estimator == "rank":
+            assert first.six == six(log_returns(series_from_returns(returns))[:10, 1:], w[1:])
 
     def test_csv_and_json_output(self):
         series = series_from_returns(gaussian_returns(40, np.eye(2), seed=29))

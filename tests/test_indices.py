@@ -81,9 +81,7 @@ class TestSix:
         s = ComonotonicCopula(3).sample(1000, seed=1)
         w = (5, 4, 3)
         assert six(s, w) == 1.0
-        value, within, n_pairs = weighted_six(spearman_matrix(s), pair_weight_matrix(w),
-                                              six_bounds(w))
-        assert (value, within, n_pairs) == (1.0, True, 3)
+        assert weighted_six(spearman_matrix(s), pair_weight_matrix(w)) == (1.0, 3)
 
     def test_strict_equal_weight_attains_lower_bound(self):
         s = build_triangle((1, 1, 1), "A").sample(100_000, seed=2)
@@ -112,6 +110,13 @@ class TestSix:
         for k, sampler in enumerate(samplers):
             value = six(sampler.sample(n, seed=600 + k), w)
             assert lower - 3.0 / math.sqrt(n) <= value <= upper + 1e-12
+
+    def test_pair_weights_that_round_to_zero_unscaled_do_not_make_it_nan(self):
+        # unit-scaled to (1/2, 2**-1074, 2**-1074), every w_i w_j rounds to 0
+        x = np.random.default_rng(9).standard_normal((30, 3))
+        rho = spearman_matrix(x)
+        value = six(x, (1, 2.0**-1073, 2.0**-1073))
+        assert value == pytest.approx((rho[0, 1] + rho[0, 2]) / 2, abs=1e-15)
 
     def test_rank_invariance_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -194,6 +199,10 @@ class TestSixLognormal:
     def test_bivariate_value(self):
         # one pair's SIX is its arcsine-mapped rho bit for bit, whatever the weights
         assert six_lognormal(corr2(0.5), (2, 7)) == gaussian_spearman(0.5)
+        # also where the pair weight 0.5 * 2**-1074 rounds to 0, for either source
+        assert six_lognormal(corr2(0.5), (1, 1e-323)) == gaussian_spearman(0.5)
+        x = np.random.default_rng(8).standard_normal((30, 2))
+        assert six(x, (1, 1e-323)) == spearman_matrix(x)[0, 1]
         assert six_lognormal(corr2(0.5), (1, 1)) == pytest.approx(0.4825837395309974, abs=1e-15)
 
     def test_weight_count_must_match_the_model(self):

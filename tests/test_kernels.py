@@ -7,6 +7,7 @@ import datetime as dt
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
     series, window, step, w = case
     rolling = rolling_six(series, w, window=window, step=step)
     returns = log_returns(series)
-    pair_w, bounds = pair_weight_matrix(w), six_bounds(w)
+    pair_w = pair_weight_matrix(w)
     by_matrix, by_pair, skipped, dropped = [], [], [], 0
     windows = rolling_windows(len(returns), window, step)
     for (start, stop), centred in zip(windows, _rolling_ranks(returns, windows)):
@@ -223,7 +224,7 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
         assert np.sort(centred, axis=0).tobytes() == np.sort(want, axis=0).tobytes()
         rho = _window_pair_rhos(centred)
         assert rho.tobytes() == window_rhos(block, "rank").tobytes()
-        value, _, n_pairs = weighted_six(rho, pair_w, bounds)
+        value, n_pairs = weighted_six(rho, pair_w)
         pairs, rhos, left_out = window_pair_rhos_oracle(block, "rank")
         assert n_pairs == len(pairs)
         dropped += len(left_out)
@@ -235,6 +236,47 @@ def test_sliding_rank_six_matches_per_window_ranking_bit_for_bit(case):
     assert [(e.six.hex(), e.n_pairs) for e in rolling.entries] == by_matrix == by_pair
     assert [date for date, _ in rolling.skipped] == skipped
     assert rolling.pairs_dropped == dropped
+
+
+def windows_by_varying_columns(series, w, window, step, estimator):
+    """Each window's entry of ``rolling_six`` with the window's returns and the
+    mask of its columns that are not constant, for windows with a pair left."""
+    rolling = rolling_six(series, w, window=window, step=step, estimator=estimator)
+    entries = {e.end_date: e for e in rolling.entries}
+    returns = log_returns(series)
+    for start, stop in rolling_windows(len(returns), window, step):
+        block = returns[start:stop]
+        keep = np.ptp(block, axis=0) > 0.0
+        if keep.sum() >= 2:
+            yield entries[series.dates[stop]], block, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(rolling_cases(), st.sampled_from(["rank", "lognormal"]), st.sampled_from([1.0, 1e-200]))
+def test_every_window_lies_within_the_sharp_bounds_of_its_varying_columns(case, estimator,
+                                                                          scale):
+    # a correlation matrix is a Gram matrix of unit vectors, so by the triangle
+    # inequality w'rho w >= max(0, 2 w_max - S1)^2: the lower end of six_bounds
+    series, window, step, w = case
+    w = [w[0]] + [scale * v for v in w[1:]]  # 1e-200: the pair weights left underflow
+    for entry, _, keep in windows_by_varying_columns(series, w, window, step, estimator):
+        lower, upper = six_bounds(np.compress(keep, w))
+        assert lower - 1e-12 <= entry.six <= upper + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(rolling_cases(), st.sampled_from(["rank", "lognormal"]))
+def test_a_window_with_a_dropped_pair_is_the_six_of_its_varying_columns(case, estimator):
+    series, window, step, w = case
+    for entry, block, keep in windows_by_varying_columns(series, w, window, step, estimator):
+        if keep.all():
+            continue
+        sub, sub_w = block[:, keep], np.compress(keep, w)
+        if estimator == "rank":
+            want = six(sub, sub_w)
+        else:
+            want = weighted_six(_lognormal_pair_rhos(sub), pair_weight_matrix(sub_w))[0]
+        assert entry.six.hex() == want.hex()
 
 
 @pytest.mark.parametrize("estimator", ["rank", "lognormal"])
@@ -284,7 +326,7 @@ def rho_matrices(draw):
 @given(rho_matrices())
 def test_weighted_six_matches_the_pairs_tuple_average(case):
     rho, w = case
-    value, _, n_pairs = weighted_six(rho, pair_weight_matrix(w), six_bounds(w))
+    value, n_pairs = weighted_six(rho, pair_weight_matrix(w))
     want, shares = six_from_pairs_oracle(*upper_pairs(rho), w)
     assert (value.hex(), n_pairs) == (want.hex(), len(shares))
 
@@ -313,13 +355,30 @@ def test_six_and_its_bounds_do_not_depend_on_a_power_of_two_scale(w, k, seed):
     assert six_bounds(scaled) == six_bounds(w)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(2.0**-1021, 1.0) | st.just(2.0**-1021), min_size=2, max_size=6))
+def test_pair_weights_are_rounded_products_scaled_so_the_largest_is_at_least_a_quarter(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair_w = pair_weight_matrix(w)
+    pairs = list(itertools.combinations(range(len(w)), 2))
+    exact = [Fraction(w[i]) * Fraction(w[j]) for i, j in pairs]
+    largest = max(pair_w[i, j] for i, j in pairs)
+    assert 0.25 <= largest < 1.0
+    # the one power of two 2**k: the rounded largest is within 2**-52 of it
+    ratio = Fraction(largest) / max(exact)
+    k = ratio.numerator.bit_length() - ratio.denominator.bit_length()
+    k += round(math.log2(ratio / Fraction(2) ** k))
+    assert [pair_w[i, j] for i, j in pairs] == [float(e * Fraction(2) ** k) for e in exact]
+
+
 def test_weighted_six_leaves_out_nan_pairs():
     rho = np.array([[1.0, 0.5, np.nan], [0.5, 1.0, np.nan], [np.nan, np.nan, 1.0]])
-    pair_w, bounds = pair_weight_matrix((1, 2, 3)), six_bounds((1, 2, 3))
-    assert weighted_six(rho, pair_w, bounds) == (0.5, True, 1)
+    pair_w = pair_weight_matrix((1, 2, 3))
+    assert weighted_six(rho, pair_w) == (0.5, 1)
     rho[0, 1] = np.nan
-    value, within, n_pairs = weighted_six(rho, pair_w, bounds)
-    assert math.isnan(value) and (within, n_pairs) == (False, 0)
+    value, n_pairs = weighted_six(rho, pair_w)
+    assert math.isnan(value) and n_pairs == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -327,10 +386,11 @@ def test_weighted_six_leaves_out_nan_pairs():
 def test_six_of_one_pair_is_that_pairs_rho(d, data):
     i, j = sorted(data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True)))
     r = data.draw(st.floats(-1.0, 1.0))
-    w = data.draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d))
+    # 1e-200 beside 1: a pair of two such weights rounds to 0
+    w = data.draw(st.lists(st.floats(0.01, 100.0) | st.just(1e-200), min_size=d, max_size=d))
     rho = np.full((d, d), np.nan)
     rho[i, j] = rho[j, i] = r
-    value, _, n_pairs = weighted_six(rho, pair_weight_matrix(w), six_bounds(w))
+    value, n_pairs = weighted_six(rho, pair_weight_matrix(w))
     assert (value.hex(), n_pairs) == (r.hex(), 1)
 
 
