@@ -337,6 +337,11 @@ class TestGoldenOutputs:
         ("bounds 5 1 1 --mc 1000 --seed 1 --json",
          "40b8377d6aea58fccdc70249aee0fd932629fc34bfa0768af7b7576a91b459d8",
          {"seed": 1, "generator": "pcg64"}),
+        ("bounds 1 1 1 --json", "28233aad56e651d2032a5a98821447eeff4320a7dff0c14637702144f407fa7e",
+         {}),
+        ("bounds 1 1 1 --mc 1000 --seed 1 --json",
+         "1b2de4750218b1a35bb6df996b026620003af05d9c02d4408d546011912e11ee",
+         {"seed": 1, "generator": "pcg64"}),
         # re-recorded when the entries lost their ``within_bounds`` key, nothing else
         ("six PRICES --window 20 --step 5 --json",
          "597b46cd5b785f1784ed76f42629759d1f5fd3787e0ddcba92dfa176cbd64489", SIX_COUNTS),
