@@ -1,5 +1,6 @@
-"""Exact variance extremes of weighted sums of uniforms, the coupling that
-attains the lower bound, and a Monte Carlo verification harness.
+"""The coupling that attains the sharp lower bound on the variance of a
+weighted sum of uniforms, and a Monte Carlo harness that checks it.  The
+variance extremes themselves live in :mod:`wcm.weights`.
 
 The minimizing coupling shrinks an oversized weight down to the sum of the
 others and samples the shrunken-weight copula; the sum then equals
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -23,18 +23,10 @@ from .weights import (
     as_weight_vector,
     shrink_weights,
     unit_scaled,
-    validate_wcm_existence,
     variance_lower_bound,
-    variance_upper_bound,
 )
 
-__all__ = [
-    "McEstimate",
-    "VarianceBoundReport",
-    "optimal_coupling",
-    "mc_variance",
-    "variance_bound_report",
-]
+__all__ = ["optimal_coupling", "mc_variance"]
 
 # Draws per Monte Carlo batch; each batch has its own child stream.
 MC_BATCH = 1 << 18
@@ -42,33 +34,6 @@ MC_BATCH = 1 << 18
 
 class Sampler(Protocol):
     def sample(self, n: int, seed: int) -> SampleMatrix: ...
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    n: int
-    estimate: float
-    stderr: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class VarianceBoundReport:
-    """Exact bounds plus an optional Monte Carlo check of the lower bound."""
-
-    weights: tuple[float, ...]
-    lower: float
-    upper: float
-    attained_by: str
-    mc: McEstimate | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lower <= self.upper:
-            raise DomainError(f"bounds out of order: [{self.lower}, {self.upper}]")
-
-    def to_json_dict(self) -> dict:
-        """The fields as a dict, without ``mc`` when there was no Monte Carlo run."""
-        return {k: v for k, v in asdict(self).items() if k != "mc" or v is not None}
 
 
 def optimal_coupling(w: "WeightVector | Iterable[float]"):
@@ -143,44 +108,3 @@ def mc_variance(
     except OverflowError:
         raise DomainError(
             f"the Monte Carlo variance of the weights {wv.values} overflows a float") from None
-
-
-def variance_bound_report(
-    w: "WeightVector | Iterable[float]",
-    mc_n: int | None = None,
-    seed: int | None = None,
-    threads: int = 1,
-) -> VarianceBoundReport:
-    """Assemble exact bounds and, optionally, a Monte Carlo estimate of the
-    variance of the optimal coupling.  A bad ``seed`` or ``threads`` is a
-    :class:`DomainError` even with no estimate asked for.  The bounds come
-    first: if ``sum(w)^2`` fits a float, so does the estimate."""
-    wv = as_weight_vector(w)
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    if seed is not None and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    lower, upper = variance_lower_bound(wv), variance_upper_bound(wv)
-    shrunk = shrink_weights(wv)
-    if validate_wcm_existence(wv):
-        attained = f"weighted-countermonotonic coupling on {wv.values} (constant sum)"
-    else:
-        attained = (
-            f"weighted-countermonotonic coupling on shrunken weights {shrunk.values}; "
-            "the oversized coordinate's excess rides on U1"
-        )
-    mc = None
-    if mc_n is not None:
-        if seed is None:
-            raise DomainError("a seed is required for the Monte Carlo check")
-        coupling, _ = optimal_coupling(wv)
-        estimate, se = mc_variance(coupling, wv, mc_n, seed, threads=threads)
-        mc = McEstimate(n=mc_n, estimate=estimate, stderr=se, seed=seed)
-    return VarianceBoundReport(
-        weights=wv.values,
-        lower=lower,
-        upper=upper,
-        attained_by=attained,
-        mc=mc,
-    )
-

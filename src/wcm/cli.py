@@ -23,13 +23,13 @@ import secrets
 import sys
 from typing import Iterable
 
-from . import __version__
-from .bounds import variance_bound_report
+from . import __version__, bounds
 from .copula import GENERATOR_NAME, build_grouped_wcm, build_triangle
 from .data import DEFAULT_WINDOW, detrend_by_index, load_prices, rolling_six
 from .errors import DomainError, WcmError
 from .indices import rhix_degeneracy_curve
-from .weights import as_weight_vector, existence_deficit, validate_wcm_existence
+from .weights import (as_weight_vector, existence_deficit, shrink_weights,
+                      validate_wcm_existence, variance_lower_bound, variance_upper_bound)
 
 __all__ = ["main", "entrypoint"]
 
@@ -160,25 +160,36 @@ def _cmd_cdf(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = variance_bound_report(
-        args.weights, mc_n=args.mc, seed=_resolve_seed(args), threads=args.threads
-    )
-    seed = report.mc.seed if report.mc else None
-    if args.json or args.out:
-        _emit_json(report.to_json_dict(), args, seed)
+    wv = as_weight_vector(args.weights)
+    if args.threads < 1:
+        raise DomainError(f"threads must be >= 1, got {args.threads}")
+    seed = _resolve_seed(args)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    # before any draw: if the bounds fit a float, so does the estimate
+    payload = {"weights": list(wv.values), "lower": variance_lower_bound(wv),
+               "upper": variance_upper_bound(wv)}
+    shrunk = shrink_weights(wv)
+    if shrunk is wv:  # admissible weights come back as they are: one existence decision
+        attained = f"{wv.values} (constant sum)"
     else:
-        rows = [
-            ("weights", " ".join(repr(v) for v in report.weights)),
-            ("lower l(w)", repr(report.lower)),
-            ("upper", repr(report.upper)),
-        ]
-        if report.mc is not None:
-            rows += [
-                ("mc estimate", repr(report.mc.estimate)),
-                ("mc stderr", repr(report.mc.stderr)),
-                ("mc n", str(report.mc.n)),
-                ("seed", str(report.mc.seed)),
-            ]
+        attained = (f"shrunken weights {shrunk.values}; "
+                    "the oversized coordinate's excess rides on U1")
+    payload["attained_by"] = f"weighted-countermonotonic coupling on {attained}"
+    rows = [("weights", " ".join(repr(v) for v in wv.values)),
+            ("lower l(w)", repr(payload["lower"])), ("upper", repr(payload["upper"]))]
+    if args.mc is None:
+        seed = None
+    else:
+        # through the module, so that a tracer that patches ``wcm.bounds`` sees the calls
+        coupling, _ = bounds.optimal_coupling(wv)
+        estimate, stderr = bounds.mc_variance(coupling, wv, args.mc, seed, threads=args.threads)
+        payload["mc"] = {"n": args.mc, "estimate": estimate, "stderr": stderr, "seed": seed}
+        rows += [("mc estimate", repr(estimate)), ("mc stderr", repr(stderr)),
+                 ("mc n", str(args.mc)), ("seed", str(seed))]
+    if args.json or args.out:
+        _emit_json(payload, args, seed)
+    else:
         width = max(len(k) for k, _ in rows)
         table = "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
         _write_with_manifest([table], args, seed)

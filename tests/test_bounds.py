@@ -1,6 +1,6 @@
-"""Variance extremes, the minimizing coupling, and the MC verification harness."""
+"""The minimizing coupling and the MC verification harness; the variance
+extremes are tested with ``wcm.weights``."""
 
-import json
 import math
 
 import numpy as np
@@ -26,7 +26,6 @@ from wcm.bounds import (
     _draw_dots,
     mc_variance,
     optimal_coupling,
-    variance_bound_report,
 )
 from wcm.copula import build_grouped_wcm, make_rng
 from wcm.errors import DimensionError, DomainError
@@ -242,25 +241,3 @@ class TestLemmaM:
         s = IndependenceCopula(2).sample(100, seed=73)
         with pytest.raises(DomainError):
             lemma_m_check(s, (2, 1))
-
-
-class TestReport:
-    def test_bounds_and_json(self):
-        report = variance_bound_report((5, 1, 1), mc_n=10**5, seed=80)
-        assert report.lower == pytest.approx(0.75, abs=1e-15)
-        assert report.upper == pytest.approx(49.0 / 12.0, abs=1e-12)
-        assert 0.0 <= report.lower <= report.upper
-        assert abs(report.mc.estimate - report.lower) < 5 * report.mc.stderr
-        payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["weights"] == [5.0, 1.0, 1.0]
-        assert payload["mc"]["n"] == 10**5
-        assert payload["mc"]["seed"] == 80
-
-    def test_requires_seed_for_mc(self):
-        with pytest.raises(DomainError):
-            variance_bound_report((5, 1, 1), mc_n=100, seed=None)
-
-    def test_no_mc_section_when_not_requested(self):
-        report = variance_bound_report((1, 1, 1))
-        assert report.mc is None
-        assert "mc" not in report.to_json_dict()

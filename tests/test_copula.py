@@ -207,6 +207,11 @@ class TestBuildTriangle:
         with pytest.raises(DomainError):
             build_triangle((1, 1, 1), "C")
 
+    @pytest.mark.parametrize("w", [(1, 1), (1, 1, 1, 1)])
+    def test_rejects_other_than_three_weights(self, w):
+        with pytest.raises(DimensionError, match="exactly 3 weights"):
+            build_triangle(w)
+
     @given(triple_strategy, st.sampled_from(["A", "B"]))
     @settings(max_examples=100, deadline=None)
     def test_vertices_on_support_hyperplane(self, w, variant):
@@ -655,6 +660,10 @@ class TestGrouped:
         with pytest.raises(ExistenceError, match="hyperplane"):
             GroupedWCMCopula((1.0, 2.0), ((0,), (1,)), ((1.0, 0.0), (0.0, 1.0)), (1.0,),
                              "countermonotonic")
+
+    def test_unknown_construction_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown construction"):
+            replace(build_triangle((1, 1, 1)), construction="other")
 
     def test_unequal_pair_summing_below_the_tolerance_does_not_exist(self):
         # the hyperplane check runs on the weights scaled by a power of two

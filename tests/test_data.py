@@ -113,6 +113,14 @@ class TestLoadPrices:
         series = load_prices(path)
         assert (series.tickers, series.n) == (("A", "B"), 2)
 
+    @pytest.mark.parametrize("text, message", [("", "empty file"),
+                                               ("day,A\n2021-01-01,1\n", "first column"),
+                                               ("\n2021-01-01,1\n", "first column"),
+                                               ("date\n2021-01-01\n", "no price columns")])
+    def test_header_without_dates_or_prices_error(self, tmp_path, text, message):
+        with pytest.raises(DomainError, match=message):
+            load_prices(self.write(tmp_path, text))
+
     @pytest.mark.parametrize("header", ["date,A,A", "date,A,", "date,A,,B", "date,A, A "])
     def test_empty_or_repeated_ticker_error(self, tmp_path, header):
         text = header + "\n2021-01-01,1,2\n"
@@ -173,6 +181,24 @@ def test_load_prices_fuzz(table):
             assert tuple(map(dt.date.isoformat, series.dates)) == kept
 
 
+class TestPriceSeries:
+    @pytest.mark.parametrize("prices, index, error", [
+        (np.ones((3, 2)), None, DimensionError),  # three rows for two dates
+        (np.ones(4), None, DimensionError),
+        ([[1.0, 0.0], [1.0, 1.0]], None, DomainError),
+        ([[1.0, -2.0], [1.0, 1.0]], None, DomainError),
+        ([[1.0, math.inf], [1.0, 1.0]], None, DomainError),
+        ([[1.0, math.nan], [1.0, 1.0]], None, DomainError),
+        (np.ones((2, 2)), np.ones(3), DimensionError),
+        (np.ones((2, 2)), np.ones((2, 1)), DimensionError),
+        (np.ones((2, 2)), np.array([1.0, 0.0]), DomainError),
+        (np.ones((2, 2)), np.array([1.0, math.nan]), DomainError),
+    ])
+    def test_misshaped_or_non_positive_prices_or_index_error(self, prices, index, error):
+        with pytest.raises(error):
+            PriceSeries(dates_from(2), ("A", "B"), prices, market_index=index)
+
+
 class TestDetrend:
     def test_division(self):
         series = PriceSeries(
@@ -196,6 +222,10 @@ class TestDetrend:
 
 
 class TestLogReturns:
+    def test_one_row_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="2 price rows"):
+            log_returns(PriceSeries(dates_from(1), ("A",), np.ones((1, 1))))
+
     def test_constant_prices(self):
         series = PriceSeries(dates_from(5), ("A",), np.full((5, 1), 7.0))
         assert np.array_equal(log_returns(series), np.zeros((4, 1)))
@@ -335,12 +365,16 @@ class TestRollingSix:
         assert rolling.pairs_dropped == 3
 
     @pytest.mark.parametrize("estimator", ["rank", "lognormal"])
-    def test_pair_weights_left_that_underflow_give_the_six_of_the_varying_columns(self,
+    @pytest.mark.parametrize("tiny", [1e-200, 2.0**-1073])
+    def test_pair_weights_left_that_underflow_give_the_six_of_the_varying_columns(self, tiny,
                                                                                   estimator):
-        # the first ticker halts for 12 rows; the pairs left weigh (5e-201)**2 == 0.0
+        # the first ticker halts for 12 rows.  Scaled so the largest pair weight
+        # is 1/4, the pairs left weigh about 4e-201 for 1e-200, but 2**-1075 for
+        # 2**-1073, which rounds to 0.0: only then does the window fall back on
+        # its varying columns' own pair weights
         returns = gaussian_returns(30, np.eye(4), seed=31)
         returns[:12, 0] = 0.0
-        w = (1.0, 1e-200, 1e-200, 1e-200)
+        w = (1.0, tiny, tiny, tiny)
         rolling = rolling_six(series_from_returns(returns), w, window=10, step=5,
                               estimator=estimator)
         rest = rolling_six(series_from_returns(returns[:, 1:]), w[1:], window=10, step=5,

@@ -44,6 +44,12 @@ def corr2(rho: float) -> list:
 
 
 class TestSpearmanRho:
+    @pytest.mark.parametrize("data", [[1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]], [[1.0, 2.0]]])
+    def test_matrix_needs_two_columns_and_two_rows(self, data):
+        # 1-D data, one column, one row
+        with pytest.raises(DimensionError):
+            spearman_matrix(np.array(data))
+
     def test_perfect_concordance_is_exactly_one(self):
         assert rank_rho([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
 
@@ -265,6 +271,8 @@ class TestLognormalModel:
     def test_rejects_a_correlation_beyond_one(self, rho):
         with pytest.raises(ModelError, match=r"\[-1, 1\]"):
             six_lognormal(corr2(rho), (1, 1))
+        with pytest.raises(ModelError, match=r"\[-1, 1\]"):
+            rhix_lognormal_bivariate(rho, 1.0, 1.0)
 
     @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
     def test_rejects_a_non_finite_entry_first(self, entry):

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from wcm.errors import DimensionError, DomainError, ExistenceError, InvalidWeightError
@@ -145,6 +145,25 @@ class TestVarianceBounds:
     @given(weights_strategy)
     def test_order_strict(self, values):
         assert variance_lower_bound(values) < variance_upper_bound(values)
+
+    @given(st.lists(st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023)),
+                    min_size=2, max_size=12))
+    def test_bounds_are_ordered_at_every_scale(self, parts):
+        # fsum(w) >= max(w), so the rounded 2*max - fsum(w) is at most max(w) <= fsum(w);
+        # squaring and dividing by 12 are monotone in floats, so 0 <= lower <= upper,
+        # with an overflowed bound, a DomainError, read as inf
+        try:
+            wv = WeightVector(tuple(math.ldexp(m, e) for m, e in parts))
+        except InvalidWeightError:  # the sum overflows
+            reject()
+
+        def bound_or_inf(bound):
+            try:
+                return bound(wv)
+            except DomainError:
+                return math.inf
+
+        assert 0.0 <= bound_or_inf(variance_lower_bound) <= bound_or_inf(variance_upper_bound)
 
 
 def aggregates(values):
