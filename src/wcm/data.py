@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .indices import (centred_correlation, gaussian_spearman, midranks, pair_weight_matrix,
-                      weighted_six)
+                      rank_six, weighted_six)
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -243,11 +243,12 @@ class RollingSixSeries:
         }
 
 
-def _window_pair_rhos(ranks: np.ndarray) -> np.ndarray:
-    """One window's ``d x d`` matrix of Spearman's rhos from its mid-ranks
-    centred on ``(n + 1) / 2``, in any row order; a pair touching a column
-    constant in the window is NaN.  The traced bench run times this call."""
-    return centred_correlation(ranks)
+def _window_pair_rhos(ranks: np.ndarray, window_six) -> tuple[float, int]:
+    """One rank window's SIX and pair count from its mid-ranks centred on
+    ``(n + 1) / 2``, by ``window_six``, a ``rank_six`` kernel.  The name is from
+    when this call gave the window's rho matrix: the traced bench still times
+    it under that name as the ``indices.spearman_matrix`` stage."""
+    return window_six(ranks)
 
 
 def _lognormal_pair_rhos(block: np.ndarray) -> np.ndarray:
@@ -265,6 +266,24 @@ def _lognormal_pair_rhos(block: np.ndarray) -> np.ndarray:
     kept = ~np.isnan(rho)
     rho[kept] = gaussian_spearman(rho[kept])
     return rho
+
+
+def _lognormal_six(w: WeightVector):
+    """The ``lognormal`` counterpart of ``rank_six``, on a window of returns:
+    ``weighted_six`` of its ``_lognormal_pair_rhos``, with the varying columns'
+    own ``pair_weight_matrix`` where the weights of the pairs left round to 0."""
+    pair_w = pair_weight_matrix(w)
+
+    def window_six(block: np.ndarray) -> tuple[float, int]:
+        rho = _lognormal_pair_rhos(block)
+        value, n_pairs = weighted_six(rho, pair_w)
+        if n_pairs and math.isnan(value):
+            keep = ~np.isnan(rho.diagonal())
+            sub_w = pair_weight_matrix(np.compress(keep, w.values))
+            value = weighted_six(rho[np.ix_(keep, keep)], sub_w)[0]
+        return value, n_pairs
+
+    return window_six
 
 
 def _rolling_ranks(returns: np.ndarray, windows: list[tuple[int, int]]) -> Iterator[np.ndarray]:
@@ -309,10 +328,12 @@ def rolling_six(
 
     Pairs whose columns are constant inside a window are dropped from the
     weighted average, so a window's SIX is the SIX of its varying columns,
-    with their own ``pair_weight_matrix`` where the weights of the pairs left
-    all round to 0, and it lies within the sharp bounds of their weights.  A
-    window with no valid pair left is skipped.  Both are counted in the
-    result (``pairs_dropped``, ``skipped``), not warned about.
+    and it lies within the sharp bounds of their weights.  A window with no
+    valid pair left is skipped.  Both are counted in the result
+    (``pairs_dropped``, ``skipped``), not warned about.  Each ``rank`` window
+    is one ``rank_six`` call on ranks slid from the window before; each
+    ``lognormal`` window takes ``weighted_six`` of its arcsine-mapped Pearson
+    rhos.
     """
     if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
@@ -322,28 +343,23 @@ def rolling_six(
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")
     returns = log_returns(p)
-    pair_w = pair_weight_matrix(wv)
+    window_six = rank_six(wv) if estimator == "rank" else _lognormal_six(wv)
     all_pairs = p.d * (p.d - 1) // 2
     entries: list[WindowSix] = []
     skipped: list[tuple[dt.date, str]] = []
     pairs_dropped = 0
     windows = rolling_windows(len(returns), window, step)
     if estimator == "rank":
-        rhos = map(_window_pair_rhos, _rolling_ranks(returns, windows))
+        sixes = (_window_pair_rhos(ranks, window_six) for ranks in _rolling_ranks(returns, windows))
     else:
-        rhos = (_lognormal_pair_rhos(returns[start:stop]) for start, stop in windows)
-    for (_, stop), rho in zip(windows, rhos):
+        sixes = (window_six(returns[start:stop]) for start, stop in windows)
+    for (_, stop), (value, n_pairs) in zip(windows, sixes):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
-        value, n_pairs = weighted_six(rho, pair_w)
         pairs_dropped += all_pairs - n_pairs
-        if not n_pairs:
+        if n_pairs:
+            entries.append(WindowSix(end_date, value, n_pairs))
+        else:
             skipped.append((end_date, "no valid pairs (constant columns)"))
-            continue
-        if math.isnan(value):  # the weights of the pairs left all underflowed
-            keep = ~np.isnan(rho.diagonal())
-            sub_w = pair_weight_matrix(np.compress(keep, wv.values))
-            value = weighted_six(rho[np.ix_(keep, keep)], sub_w)[0]
-        entries.append(WindowSix(end_date, value, n_pairs))
     return RollingSixSeries(
         weights=wv.values,
         window=window,

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "spearman_matrix",
     "gaussian_spearman",
     "six",
+    "rank_six",
     "weighted_six",
     "pair_weight_matrix",
     "six_bounds",
@@ -88,16 +90,22 @@ def spearman_matrix(data: "SampleMatrix | np.ndarray") -> np.ndarray:
     the product is exact in any summation order and equal or reversed rank
     columns give exactly +/-1."""
     values = data.values if isinstance(data, SampleMatrix) else np.asarray(data, float)
+    rho = centred_correlation(_centred_ranks(values))
+    if np.isnan(rho).any():
+        raise DegenerateDataError("constant column: rank correlation is undefined")
+    return rho
+
+
+def _centred_ranks(values: np.ndarray) -> np.ndarray:
+    """The mid-ranks of an ``(n >= 2, d >= 2)`` matrix of finite values, centred
+    on ``(n + 1) / 2``."""
     if values.ndim != 2 or values.shape[1] < 2:
         raise DimensionError("need an (n, d>=2) data matrix")
     if values.shape[0] < 2:
         raise DimensionError("need at least 2 observations")
     if not np.isfinite(values).all():
         raise DomainError("data must be finite to be ranked")
-    rho = centred_correlation(midranks(values) - 0.5 * (values.shape[0] + 1))
-    if np.isnan(rho).any():
-        raise DegenerateDataError("constant column: rank correlation is undefined")
-    return rho
+    return midranks(values) - 0.5 * (values.shape[0] + 1)
 
 
 def gaussian_spearman(rho: "float | np.ndarray") -> "float | np.ndarray":
@@ -127,14 +135,22 @@ def _scaled_weights(w: "WeightVector | Iterable[float]") -> tuple[float, ...]:
     return scaled
 
 
+def _integer_weights(values: Sequence[float]) -> list[int]:
+    """Integers ``k`` with ``k_i / k_j == v_i / v_j`` exactly, not all even: each
+    float is an integer times a power of two."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)  # every denominator is a power of two
+    k = [num * (scale // den) for num, den in ratios]
+    shift = min((x & -x).bit_length() for x in k) - 1
+    return [x >> shift for x in k]
+
+
 def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     """Sharp SIX range ``((12*l(w) - S2) / (S1^2 - S2), 1)``.  The lower end is
     one correctly rounded division of integers: the weights are integers times
     one power of two, which cancels.  In floats ``S1^2 - S2`` cancels to 0.0
     when one weight dwarfs the others."""
-    ratios = [v.as_integer_ratio() for v in _scaled_weights(w)]
-    scale = max(den for _, den in ratios)  # every denominator is a power of two
-    k = [num * (scale // den) for num, den in ratios]
+    k = _integer_weights(_scaled_weights(w))
     s1, s2 = sum(k), sum(x * x for x in k)
     excess = max(0, 2 * max(k) - s1)
     return (excess * excess - s2) / (s1 * s1 - s2), 1.0
@@ -144,7 +160,8 @@ def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
     """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
     a ``d x d`` matrix, NaN on and below the diagonal: products of the
     ``unit_scaled`` weights, each rounded once, times the power of two that
-    puts the largest in [1/4, 1), so they never all round to 0."""
+    puts the largest in [1/4, 1), so they never all round to 0.  For
+    ``weighted_six``: ``six_lognormal`` and the ``lognormal`` rolling windows."""
     v = np.array(_scaled_weights(w))
     shift = -math.frexp(np.partition(v, -2)[-2])[1]
     with np.errstate(over="ignore"):  # only the masked diagonal can overflow
@@ -158,7 +175,8 @@ def weighted_six(rho: np.ndarray, pair_w: np.ndarray) -> tuple[float, int]:
     is not NaN, and the number of pairs used; NaN if their weights sum to 0.
     Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
     One pair's average is its rho itself whatever its weight, which
-    ``w * rho / w`` need not be."""
+    ``w * rho / w`` need not be.  Its callers are ``six_lognormal`` and the
+    ``lognormal`` rolling windows; rank SIX is ``rank_six``."""
     terms = pair_w * rho
     used = ~np.isnan(terms)
     weights = pair_w[used].tolist()
@@ -168,11 +186,92 @@ def weighted_six(rho: np.ndarray, pair_w: np.ndarray) -> tuple[float, int]:
     return (math.fsum(terms[used].tolist()) / total if total else math.nan), len(weights)
 
 
-def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> float:
-    """Rank-based SIX of a data matrix (columns are variables)."""
+def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tuple[float, int]]:
+    """The rank SIX of the weights ``w`` as a function of one window's ``(n, d)``
+    mid-ranks centred on ``(n + 1) / 2``, in any row order: the SIX of the
+    columns that vary in it and the number of their pairs, or ``(nan, 0)``
+    when fewer than two vary.  A ratio of the weights beyond the float range is
+    an :class:`InvalidWeightError`.
+
+    SIX is one normalised variance.  With ``R`` twice the centred ranks (integers),
+    ``g_i = R_i . R_i``, ``v_i = w_i / sqrt(g_i)`` and ``S1``, ``S2`` the sums of
+    the weights and their squares over the varying columns (``g_i > 0``),
+    ``sum_{i<j} w_i w_j rho_ij = (|R v|^2 - S2) / 2`` and ``sum_{i<j} w_i w_j =
+    (S1^2 - S2) / 2``.  Two varying columns give their rho, as
+    ``centred_correlation`` does.  Where the varying columns share one ``g = G``
+    (no ties, or comonotone columns), SIX is ``(|R k|^2 - G S2) / (G (S1^2 -
+    S2))`` in the weights as integers ``k``, one correctly rounded division;
+    ``R k`` is exact on 26-bit limbs of ``k``.  Otherwise the heaviest varying
+    column ``h`` is held apart: with ``y = sum_{j != h} v_j R_j`` and ``S1'``,
+    ``S2'`` over ``j != h``, SIX is ``(v_h R_h . y + (y . y - S2') / 2) / (w_h
+    S1' + (S1'^2 - S2') / 2)``, whose rounding is small beside the denominator,
+    at least ``w_h S1'``; ``w_h`` and the others are scaled by separate powers
+    of two, so none underflows.  Exact for windows below about 2e5 rows.
+    """
     wv = as_weight_vector(w)
-    rho = spearman_matrix(sample_values(data, wv.d))
-    return weighted_six(rho, pair_weight_matrix(wv))[0]
+    _scaled_weights(wv)
+    k = _integer_weights(wv.values)
+    shifts = range(0, max(k).bit_length(), 26)
+    limbs = np.array([[(x >> s) & (2**26 - 1) for s in shifts] for x in k], dtype=float)
+    by_mask: dict[bytes, tuple] = {}
+
+    def weights_of(varying: np.ndarray) -> tuple:
+        """What the weights give a window's varying columns: the sum of their
+        integer weights and of its squares, and their limbs; the heaviest
+        column ``h``, its weight's mantissa and ``t``, the others' power of two
+        over its; the others' weights at their own scale, 0 at ``h``, with
+        their sum and sum of squares.  Windows of one mask share them."""
+        kv = list(compress(k, varying.tolist()))
+        v = np.compress(varying, wv.values)
+        h = int(np.argmax(v))
+        w_h, e_h = math.frexp(v[h])
+        v[h] = 0.0
+        e_rest = math.frexp(v.max())[1]
+        u = np.ldexp(v, -e_rest)
+        return (sum(kv), sum(x * x for x in kv), limbs[varying], h, w_h,
+                math.ldexp(1.0, e_rest - e_h), u, float(u.sum()), float(u @ u))
+
+    def window_six(ranks: np.ndarray) -> tuple[float, int]:
+        r = ranks + ranks
+        g = np.einsum("ij,ij->j", r, r)
+        varying = g > 0.0
+        m = int(np.count_nonzero(varying))
+        if m < 2:
+            return math.nan, 0
+        if m == 2:
+            return float(centred_correlation(ranks[:, varying])[0, 1]), 1
+        key = varying.tobytes()
+        if key not in by_mask:
+            by_mask[key] = weights_of(varying)
+        k1, k2, k_limbs, h, w_h, t, u, s1, s2 = by_mask[key]
+        if m < len(k):  # C order: a row's sum below groups its terms as for m == d
+            r, g = np.compress(varying, r, axis=1), g[varying]
+        n, n_pairs = len(r), m * (m - 1) // 2
+        if g.min() == g.max():
+            y = r @ k_limbs
+            if len(shifts) == 1 and n * ((n - 1) * k1) ** 2 < 2**53:
+                ss = int(y[:, 0] @ y[:, 0])
+            else:
+                ss = sum(sum(int(c) << s for c, s in zip(row, shifts)) ** 2 for row in y.tolist())
+            return (ss - int(g[0]) * k2) / (int(g[0]) * (k1 * k1 - k2)), n_pairs
+        # each row of y on its own, then fsum: the value does not depend on the row order
+        y = (r * (u / np.sqrt(g))).sum(axis=1)
+        r_h_y, y_y = math.fsum((r[:, h] * y).tolist()), math.fsum((y * y).tolist())
+        num = w_h / math.sqrt(g[h]) * r_h_y + t * (y_y - s2) / 2
+        return num / (w_h * s1 + t * (s1 * s1 - s2) / 2), n_pairs
+
+    return window_six
+
+
+def six(data: "SampleMatrix | np.ndarray", w: "WeightVector | Iterable[float]") -> float:
+    """Rank-based SIX of a data matrix (columns are variables), by ``rank_six``;
+    a constant column is a :class:`DegenerateDataError`."""
+    wv = as_weight_vector(w)
+    ranks = _centred_ranks(sample_values(data, wv.d))
+    value, n_pairs = rank_six(wv)(ranks)
+    if n_pairs < wv.d * (wv.d - 1) // 2:
+        raise DegenerateDataError("constant column: rank correlation is undefined")
+    return value
 
 
 def six_lognormal(corr: "np.ndarray | Sequence[Sequence[float]]",

@@ -9,14 +9,17 @@ and the least-squares variant-B construction that the closed form of
 that its column-wise path replaced, and the Monte Carlo variance on unscaled
 weights, the per-batch sums with fresh temporaries, and the central-moment
 merge that the sums about the known mean replaced, kept as oracles; the
-exact variance of ``w . U`` and the population Spearman matrix of a built
-coupling; weights next to the existence boundary; and the rearrangement
-algorithm, an outside check of the sharp variance bound."""
+exact variance of ``w . U``, the population Spearman matrix and the survival
+function of a built coupling; weights next to the existence boundary; the
+rearrangement algorithm, an outside check of the sharp variance bound; and
+the exact rank SIX of a window whose columns share one sum of squares, beside
+the Gram-matrix path that ``wcm.indices.rank_six`` replaced."""
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +34,7 @@ from wcm.bounds import MC_BATCH, _draw_dots
 from wcm.copula import (SUPPORT_TOL, SampleMatrix, _require_unit_cube, build_triangle, make_rng,
                         sample_values, spawn_rngs)
 from wcm.errors import DegenerateDataError, DimensionError, DomainError, MassNormalizationError
+from wcm.indices import centred_correlation, midranks, pair_weight_matrix, weighted_six
 from wcm.weights import as_weight_vector, unit_scaled, validate_wcm_existence
 
 
@@ -523,6 +527,62 @@ def coupling_spearman_exact(copula) -> list[list[Fraction]]:
     coord = {i: g for g, members in enumerate(copula.groups) for i in members}
     return [[12 * moment[coord[i]][coord[j]] - 3 for j in range(copula.d)]
             for i in range(copula.d)]
+
+
+def coupling_survival_exact(copula, u) -> Fraction:
+    """``P(U > u)`` of a built coupling, exactly, in Fractions of its float
+    vertices and masses: on segment ``t p + (1 - t) q`` each coordinate's
+    ``>`` constraint, at the largest ``u_i`` of its group, is linear in ``t``,
+    so the ``t`` that meet them all form an interval, whose length weights the
+    segment's mass.  A segment that is one point counts when it is above."""
+    point = [Fraction(v) for v in u]
+    corner = [max(point[i] for i in g) for g in copula.groups]
+    total = Fraction(0)
+    for (start, end), mass in zip(copula._segments(), copula.masses):
+        lo, hi = Fraction(0), Fraction(1)
+        for p, q, c in zip(map(Fraction, start), map(Fraction, end), corner):
+            if p == q:  # q + t (p - q) > c for no t or for all of them
+                hi = hi if q > c else lo
+            elif p > q:
+                lo = max(lo, (c - q) / (p - q))
+            else:
+                hi = min(hi, (c - q) / (p - q))
+        total += Fraction(mass) * max(Fraction(0), hi - lo)
+    return total
+
+
+def rank_six_exact(block: np.ndarray, w) -> Fraction:
+    """The rank SIX of a window whose varying columns share one sum of squares
+    ``G`` of their centred mid-ranks, exactly: each ``rho_ij = R_i . R_j / G``
+    is rational, and the ``w_i w_j``-weighted average is taken one pair at a
+    time in Fractions of the weights as given.  Any other window, or one with
+    fewer than two varying columns, is a ``ValueError``."""
+    twice = (2.0 * rankdata(block, method="average", axis=0) - (len(block) + 1)).astype(np.int64)
+    cols = [[int(x) for x in col] for col in twice.T]
+    varying = [i for i, col in enumerate(cols) if any(col)]
+    squares = {sum(x * x for x in cols[i]) for i in varying}
+    if len(varying) < 2 or len(squares) != 1:
+        raise ValueError("the varying columns do not share one sum of squares")
+    big_g = squares.pop()
+    num = den = Fraction(0)
+    for i, j in itertools.combinations(varying, 2):
+        pair_w = Fraction(w[i]) * Fraction(w[j])
+        num += pair_w * Fraction(sum(a * b for a, b in zip(cols[i], cols[j])), big_g)
+        den += pair_w
+    return num / den
+
+
+def rank_six_gram_oracle(block: np.ndarray, w) -> tuple[float, int]:
+    """A rank window's SIX and pair count as ``rolling_six`` took them before
+    ``rank_six``: ``weighted_six`` of the ``centred_correlation`` Gram of the
+    centred mid-ranks with the ``pair_weight_matrix``, and the varying
+    columns' own pair weights where those of the pairs left all round to 0."""
+    rho = centred_correlation(midranks(block) - 0.5 * (len(block) + 1))
+    value, n_pairs = weighted_six(rho, pair_weight_matrix(w))
+    if n_pairs and math.isnan(value):
+        keep = ~np.isnan(rho.diagonal())
+        value = weighted_six(rho[np.ix_(keep, keep)], pair_weight_matrix(np.compress(keep, w)))[0]
+    return value, n_pairs
 
 
 def rearrangement_variance(w, n: int, seed: int = 0, max_sweeps: int = 100) -> float:

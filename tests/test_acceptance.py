@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one PASS/FAIL
 line per criterion (visible with ``pytest -s`` or on failure), and beside
-criteria 4 and 5 the exact variance and Spearman matrix of built couplings."""
+criteria 4, 5 and 10 the exact variance, Spearman matrix and survival
+function of built couplings."""
 
 import math
 import time
@@ -14,6 +15,7 @@ from helpers import (
     ComonotonicCopula,
     boundary_weights,
     coupling_spearman_exact,
+    coupling_survival_exact,
     coupling_variance_exact,
     gaussian_copula_sample,
     ks_critical_1pct,
@@ -344,3 +346,21 @@ def test_variants_a_and_b_cross_so_neither_lies_below_the_other():
     grid = np.linspace(0.0, 1.0, 21)
     diff = [a.cdf((x, y, z)) - b.cdf((x, y, z)) for x in grid for y in grid for z in grid]
     assert min(diff) < -0.17 and max(diff) > 0.17
+
+
+def test_variants_a_and_b_survival_functions_cross_too():
+    # the survival half: on the same grid P(U > u) of A less that of B spans
+    # [-0.172727, 0.172727], in Fractions of the float vertices and masses, so
+    # neither copula lies below the other in the upper orthant order either
+    a = build_triangle((5, 4, 3), "A")
+    b = build_triangle((5, 4, 3), "B")
+    grid = np.linspace(0.0, 1.0, 21)
+    points = [(x, y, z) for x in grid for y in grid for z in grid]
+    diff = [coupling_survival_exact(a, u) - coupling_survival_exact(b, u) for u in points]
+    assert min(diff) < -0.17 and max(diff) > 0.17
+    # inclusion-exclusion on the exact CDF ties the survival function to it
+    for copula in (a, b):
+        for x, y, z in points[::37]:
+            by_cdf = (1 - x - y - z + copula.cdf((x, y, 1)) + copula.cdf((x, 1, z))
+                      + copula.cdf((1, y, z)) - copula.cdf((x, y, z)))
+            assert abs(by_cdf - float(coupling_survival_exact(copula, (x, y, z)))) <= 1e-15
