@@ -41,7 +41,6 @@ __all__ = [
     "spearman_matrix",
     "gaussian_spearman",
     "six",
-    "rank_six",
     "weighted_six",
     "pair_weight_matrix",
     "six_bounds",
@@ -191,44 +190,54 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
     mid-ranks centred on ``(n + 1) / 2``, in any row order: the SIX of the
     columns that vary in it and the number of their pairs, or ``(nan, 0)``
     when fewer than two vary.  A ratio of the weights beyond the float range is
-    an :class:`InvalidWeightError`.
+    an :class:`InvalidWeightError`.  Its callers are ``six`` and the ``rank``
+    windows of ``rolling_six``, so it stays out of ``__all__``.
 
     SIX is one normalised variance.  With ``R`` twice the centred ranks (integers),
     ``g_i = R_i . R_i``, ``v_i = w_i / sqrt(g_i)`` and ``S1``, ``S2`` the sums of
-    the weights and their squares over the varying columns (``g_i > 0``),
+    the weights and their squares over the ``m`` varying columns (``g_i > 0``),
     ``sum_{i<j} w_i w_j rho_ij = (|R v|^2 - S2) / 2`` and ``sum_{i<j} w_i w_j =
     (S1^2 - S2) / 2``.  Two varying columns give their rho, as
     ``centred_correlation`` does.  Where the varying columns share one ``g = G``
     (no ties, or comonotone columns), SIX is ``(|R k|^2 - G S2) / (G (S1^2 -
-    S2))`` in the weights as integers ``k``, one correctly rounded division;
-    ``R k`` is exact on 26-bit limbs of ``k``.  Otherwise the heaviest varying
+    S2))`` in the weights as integers ``k``, one correctly rounded division.
+    ``k`` is cut into limbs of ``b`` bits, the most for which every entry of
+    ``Y = R @ limbs`` and every dot ``Y_s . Y_t`` stays an integer below
+    ``2**53`` (``n (m (n - 1))^2 2^(2b) < 2^53``, as ``|R| <= n - 1``), so
+    ``|R k|^2 = sum_{s,t} 2^(b (s + t)) Y_s . Y_t`` takes two float products
+    and a sum over the limb pairs, whatever ``n``; at 30 columns that holds
+    for windows up to about 13,000 rows.  Otherwise the heaviest varying
     column ``h`` is held apart: with ``y = sum_{j != h} v_j R_j`` and ``S1'``,
     ``S2'`` over ``j != h``, SIX is ``(v_h R_h . y + (y . y - S2') / 2) / (w_h
     S1' + (S1'^2 - S2') / 2)``, whose rounding is small beside the denominator,
     at least ``w_h S1'``; ``w_h`` and the others are scaled by separate powers
-    of two, so none underflows.  Exact for windows below about 2e5 rows.
+    of two, so none underflows.
     """
     wv = as_weight_vector(w)
-    _scaled_weights(wv)
+    _scaled_weights(wv)  # for its InvalidWeightError; k keeps every bit of the weights as given
     k = _integer_weights(wv.values)
-    shifts = range(0, max(k).bit_length(), 26)
-    limbs = np.array([[(x >> s) & (2**26 - 1) for s in shifts] for x in k], dtype=float)
-    by_mask: dict[bytes, tuple] = {}
+    by_mask: dict[tuple[int, bytes], tuple] = {}
 
-    def weights_of(varying: np.ndarray) -> tuple:
-        """What the weights give a window's varying columns: the sum of their
-        integer weights and of its squares, and their limbs; the heaviest
-        column ``h``, its weight's mantissa and ``t``, the others' power of two
-        over its; the others' weights at their own scale, 0 at ``h``, with
-        their sum and sum of squares.  Windows of one mask share them."""
+    def weights_of(varying: np.ndarray, n: int) -> tuple:
+        """What the weights give a window of ``n`` rows: the sum of the varying
+        columns' integer weights and of its squares, their limbs and each limb's
+        power of two as a Python int (no limbs where the bound fails); the
+        heaviest column ``h``, its weight's mantissa and ``t``, the others'
+        power of two over its; the others' weights at their own scale, 0 at
+        ``h``, with their sum and sum of squares.  Windows of one row count
+        and mask share them."""
         kv = list(compress(k, varying.tolist()))
+        b = (53 - (n * (len(kv) * (n - 1)) ** 2).bit_length()) // 2
+        shifts = range(0, max(kv).bit_length(), b) if b > 0 else range(0)
+        limbs = np.array([[(x >> s) & ((1 << b) - 1) for s in shifts] for x in kv], dtype=float)
+        scale = np.array([1 << s for s in shifts], dtype=object)
         v = np.compress(varying, wv.values)
         h = int(np.argmax(v))
         w_h, e_h = math.frexp(v[h])
         v[h] = 0.0
         e_rest = math.frexp(v.max())[1]
         u = np.ldexp(v, -e_rest)
-        return (sum(kv), sum(x * x for x in kv), limbs[varying], h, w_h,
+        return (sum(kv), sum(x * x for x in kv), limbs, scale, h, w_h,
                 math.ldexp(1.0, e_rest - e_h), u, float(u.sum()), float(u @ u))
 
     def window_six(ranks: np.ndarray) -> tuple[float, int]:
@@ -240,19 +249,16 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
             return math.nan, 0
         if m == 2:
             return float(centred_correlation(ranks[:, varying])[0, 1]), 1
-        key = varying.tobytes()
+        key = (len(r), varying.tobytes())
         if key not in by_mask:
-            by_mask[key] = weights_of(varying)
-        k1, k2, k_limbs, h, w_h, t, u, s1, s2 = by_mask[key]
+            by_mask[key] = weights_of(varying, len(r))
+        k1, k2, limbs, scale, h, w_h, t, u, s1, s2 = by_mask[key]
         if m < len(k):  # C order: a row's sum below groups its terms as for m == d
             r, g = np.compress(varying, r, axis=1), g[varying]
-        n, n_pairs = len(r), m * (m - 1) // 2
-        if g.min() == g.max():
-            y = r @ k_limbs
-            if len(shifts) == 1 and n * ((n - 1) * k1) ** 2 < 2**53:
-                ss = int(y[:, 0] @ y[:, 0])
-            else:
-                ss = sum(sum(int(c) << s for c, s in zip(row, shifts)) ** 2 for row in y.tolist())
+        n_pairs = m * (m - 1) // 2
+        if g.min() == g.max() and len(scale):
+            y = r @ limbs
+            ss = int(scale @ (y.T @ y).astype(np.int64).astype(object) @ scale)
             return (ss - int(g[0]) * k2) / (int(g[0]) * (k1 * k1 - k2)), n_pairs
         # each row of y on its own, then fsum: the value does not depend on the row order
         y = (r * (u / np.sqrt(g))).sum(axis=1)

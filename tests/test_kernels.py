@@ -353,6 +353,19 @@ def test_comonotone_columns_give_one_and_a_countermonotone_pair_minus_one(n, d, 
     assert six(np.column_stack((x, -x)), w[:2]) == -1.0
 
 
+def test_a_tie_free_window_beyond_the_limb_bound_takes_the_float_form():
+    # the limbs of k keep every dot exact while n (m (n - 1))^2 < 2**51, up to
+    # about 13,000 rows at 30 columns; a longer window without ties takes the
+    # held-apart float form, within the tolerance of the Gram path
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((14_000, 30))
+    w = rng.uniform(0.1, 10.0, 30).tolist()
+    value, n_pairs = rank_six(w)(midranks(block) - 0.5 * (len(block) + 1))
+    want, want_pairs = rank_six_gram_oracle(block, w)
+    assert n_pairs == want_pairs == 435
+    assert abs(value - want) <= RANK_SIX_TOL
+
+
 def windows_by_varying_columns(series, w, window, step, estimator):
     """Each window's entry of ``rolling_six`` with the window's returns and the
     mask of its columns that are not constant, for windows with a pair left."""
