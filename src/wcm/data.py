@@ -5,8 +5,8 @@ The input is a CSV with a ``date`` column (ISO-8601, strictly increasing) and
 one strictly positive price column per asset; one column may be designated as
 the market index.  Estimation runs on log returns.  The ``rank`` estimator
 applies the rank-based SIX to each window; the ``lognormal`` estimator
-computes sample correlations of log returns and maps them through the
-Gaussian-copula arcsine identity.
+computes sample correlations of log returns, maps them through the
+Gaussian-copula arcsine identity and averages them by ``matrix_six``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .indices import (centred_correlation, gaussian_spearman, midranks, pair_weight_matrix,
-                      rank_six, weighted_six)
+from .indices import centred_correlation, gaussian_spearman, matrix_six, midranks, rank_six
 from .weights import WeightVector, as_weight_vector
 
 __all__ = [
@@ -268,24 +267,6 @@ def _lognormal_pair_rhos(block: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _lognormal_six(w: WeightVector):
-    """The ``lognormal`` counterpart of ``rank_six``, on a window of returns:
-    ``weighted_six`` of its ``_lognormal_pair_rhos``, with the varying columns'
-    own ``pair_weight_matrix`` where the weights of the pairs left round to 0."""
-    pair_w = pair_weight_matrix(w)
-
-    def window_six(block: np.ndarray) -> tuple[float, int]:
-        rho = _lognormal_pair_rhos(block)
-        value, n_pairs = weighted_six(rho, pair_w)
-        if n_pairs and math.isnan(value):
-            keep = ~np.isnan(rho.diagonal())
-            sub_w = pair_weight_matrix(np.compress(keep, w.values))
-            value = weighted_six(rho[np.ix_(keep, keep)], sub_w)[0]
-        return value, n_pairs
-
-    return window_six
-
-
 def _rolling_ranks(returns: np.ndarray, windows: list[tuple[int, int]]) -> Iterator[np.ndarray]:
     """Each window's mid-ranks centred on ``(n + 1) / 2``, in ring-buffer row
     order; one array is updated in place, so read it before the next.
@@ -332,8 +313,8 @@ def rolling_six(
     valid pair left is skipped.  Both are counted in the result
     (``pairs_dropped``, ``skipped``), not warned about.  Each ``rank`` window
     is one ``rank_six`` call on ranks slid from the window before; each
-    ``lognormal`` window takes ``weighted_six`` of its arcsine-mapped Pearson
-    rhos.
+    ``lognormal`` window is one ``matrix_six`` call on its arcsine-mapped
+    Pearson rhos.
     """
     if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")
@@ -343,7 +324,7 @@ def rolling_six(
     if wv.d != p.d:
         raise DimensionError(f"weights have d={wv.d} but series has {p.d} tickers")
     returns = log_returns(p)
-    window_six = rank_six(wv) if estimator == "rank" else _lognormal_six(wv)
+    window_six = rank_six(wv) if estimator == "rank" else matrix_six(wv)
     all_pairs = p.d * (p.d - 1) // 2
     entries: list[WindowSix] = []
     skipped: list[tuple[dt.date, str]] = []
@@ -352,7 +333,7 @@ def rolling_six(
     if estimator == "rank":
         sixes = (_window_pair_rhos(ranks, window_six) for ranks in _rolling_ranks(returns, windows))
     else:
-        sixes = (window_six(returns[start:stop]) for start, stop in windows)
+        sixes = (window_six(_lognormal_pair_rhos(returns[start:stop])) for start, stop in windows)
     for (_, stop), (value, n_pairs) in zip(windows, sixes):
         end_date = p.dates[stop]  # return row t uses prices t and t+1
         pairs_dropped += all_pairs - n_pairs

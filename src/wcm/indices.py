@@ -41,8 +41,6 @@ __all__ = [
     "spearman_matrix",
     "gaussian_spearman",
     "six",
-    "weighted_six",
-    "pair_weight_matrix",
     "six_bounds",
     "six_lognormal",
     "rhix_lognormal_bivariate",
@@ -155,34 +153,19 @@ def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     return (excess * excess - s2) / (s1 * s1 - s2), 1.0
 
 
-def pair_weight_matrix(w: "WeightVector | Iterable[float]") -> np.ndarray:
-    """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
-    a ``d x d`` matrix, NaN on and below the diagonal: products of the
-    ``unit_scaled`` weights, each rounded once, times the power of two that
-    puts the largest in [1/4, 1), so they never all round to 0.  For
-    ``weighted_six``: ``six_lognormal`` and the ``lognormal`` rolling windows."""
-    v = np.array(_scaled_weights(w))
-    shift = -math.frexp(np.partition(v, -2)[-2])[1]
-    with np.errstate(over="ignore"):  # only the masked diagonal can overflow
-        pair_w = np.outer(np.ldexp(v, shift // 2), np.ldexp(v, shift - shift // 2))
-    return np.where(np.tri(len(v), dtype=bool), np.nan, pair_w)
-
-
-def weighted_six(rho: np.ndarray, pair_w: np.ndarray) -> tuple[float, int]:
-    """SIX from a ``d x d`` rho matrix and the ``pair_weight_matrix``:
-    ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
-    is not NaN, and the number of pairs used; NaN if their weights sum to 0.
-    Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
-    One pair's average is its rho itself whatever its weight, which
-    ``w * rho / w`` need not be.  Its callers are ``six_lognormal`` and the
-    ``lognormal`` rolling windows; rank SIX is ``rank_six``."""
-    terms = pair_w * rho
-    used = ~np.isnan(terms)
-    weights = pair_w[used].tolist()
-    if len(weights) == 1:
-        return float(rho[used][0]), 1
-    total = math.fsum(weights)
-    return (math.fsum(terms[used].tolist()) / total if total else math.nan), len(weights)
+def _weight_split(values: Sequence[float], varying: np.ndarray) -> tuple:
+    """The ``varying`` columns' weights (two or more) with the heaviest held
+    apart: its index ``h`` among them, its mantissa ``w_h``, ``t``, the others'
+    power of two over its, and the others ``u`` at their own scale, 0 at ``h``.
+    Each ``w_i w_j`` is ``w_h u_j`` or ``t u_i u_j`` times one power of two, so
+    none underflows.  For the held-apart forms of ``rank_six`` and ``matrix_six``."""
+    v = np.compress(varying, values)
+    h = int(np.argmax(v))
+    w_h, e_h = math.frexp(v[h])
+    v[h] = 0.0
+    e_rest = math.frexp(v.max())[1]
+    u = np.ldexp(v, -e_rest)
+    return h, w_h, math.ldexp(1.0, e_rest - e_h), u
 
 
 def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tuple[float, int]]:
@@ -206,12 +189,10 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
     ``2**53`` (``n (m (n - 1))^2 2^(2b) < 2^53``, as ``|R| <= n - 1``), so
     ``|R k|^2 = sum_{s,t} 2^(b (s + t)) Y_s . Y_t`` takes two float products
     and a sum over the limb pairs, whatever ``n``; at 30 columns that holds
-    for windows up to about 13,000 rows.  Otherwise the heaviest varying
-    column ``h`` is held apart: with ``y = sum_{j != h} v_j R_j`` and ``S1'``,
-    ``S2'`` over ``j != h``, SIX is ``(v_h R_h . y + (y . y - S2') / 2) / (w_h
-    S1' + (S1'^2 - S2') / 2)``, whose rounding is small beside the denominator,
-    at least ``w_h S1'``; ``w_h`` and the others are scaled by separate powers
-    of two, so none underflows.
+    for windows up to about 13,000 rows.  Otherwise, in the ``_weight_split``
+    with ``y = sum_{j != h} v_j R_j`` and ``S1'``, ``S2'`` over ``j != h``, SIX
+    is ``(v_h R_h . y + (y . y - S2') / 2) / (w_h S1' + (S1'^2 - S2') / 2)``,
+    whose rounding is small beside the denominator, at least ``w_h S1'``.
     """
     wv = as_weight_vector(w)
     _scaled_weights(wv)  # for its InvalidWeightError; k keeps every bit of the weights as given
@@ -222,23 +203,16 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
         """What the weights give a window of ``n`` rows: the sum of the varying
         columns' integer weights and of its squares, their limbs and each limb's
         power of two as a Python int (no limbs where the bound fails); the
-        heaviest column ``h``, its weight's mantissa and ``t``, the others'
-        power of two over its; the others' weights at their own scale, 0 at
-        ``h``, with their sum and sum of squares.  Windows of one row count
-        and mask share them."""
+        ``_weight_split``, with the sum of ``u`` and of its squares.  Windows of
+        one row count and mask share them."""
         kv = list(compress(k, varying.tolist()))
         b = (53 - (n * (len(kv) * (n - 1)) ** 2).bit_length()) // 2
         shifts = range(0, max(kv).bit_length(), b) if b > 0 else range(0)
         limbs = np.array([[(x >> s) & ((1 << b) - 1) for s in shifts] for x in kv], dtype=float)
         scale = np.array([1 << s for s in shifts], dtype=object)
-        v = np.compress(varying, wv.values)
-        h = int(np.argmax(v))
-        w_h, e_h = math.frexp(v[h])
-        v[h] = 0.0
-        e_rest = math.frexp(v.max())[1]
-        u = np.ldexp(v, -e_rest)
-        return (sum(kv), sum(x * x for x in kv), limbs, scale, h, w_h,
-                math.ldexp(1.0, e_rest - e_h), u, float(u.sum()), float(u @ u))
+        h, w_h, t, u = _weight_split(wv.values, varying)
+        return (sum(kv), sum(x * x for x in kv), limbs, scale, h, w_h, t, u,
+                float(u.sum()), float(u @ u))
 
     def window_six(ranks: np.ndarray) -> tuple[float, int]:
         r = ranks + ranks
@@ -265,6 +239,48 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
         r_h_y, y_y = math.fsum((r[:, h] * y).tolist()), math.fsum((y * y).tolist())
         num = w_h / math.sqrt(g[h]) * r_h_y + t * (y_y - s2) / 2
         return num / (w_h * s1 + t * (s1 * s1 - s2) / 2), n_pairs
+
+    return window_six
+
+
+def matrix_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tuple[float, int]]:
+    """The SIX of the weights ``w`` as a function of a ``d x d`` rho matrix with
+    NaN rows and columns for the constant columns: the SIX of the columns whose
+    diagonal is not NaN and the number of their pairs, or ``(nan, 0)`` when
+    fewer than two are.  A ratio of the weights beyond the float range is an
+    :class:`InvalidWeightError`.  Its callers are ``six_lognormal`` and the
+    ``lognormal`` windows of ``rolling_six``, so it stays out of ``__all__``.
+
+    With ``D = 1 - S`` on those columns, 0 on the diagonal, SIX is ``1 - q / P``
+    for ``q = sum_{i<j} w_i w_j D_ij`` and ``P = sum_{i<j} w_i w_j``; in the
+    ``_weight_split`` these are ``w_h (D u)_h + t u . (D u) / 2`` and ``w_h S1'
+    + t (S1'^2 - S2') / 2``, with ``S1'``, ``S2'`` the sums of ``u`` and of its
+    squares, each taken with ``fsum`` once per mask: numpy's sums made most of
+    SIX's rounding.  All-one rhos give ``D = 0``, so exactly 1.0, and two
+    columns give their rho itself."""
+    wv = as_weight_vector(w)
+    _scaled_weights(wv)  # for its InvalidWeightError
+    by_mask: dict[bytes, tuple] = {}
+
+    def window_six(rho: np.ndarray) -> tuple[float, int]:
+        varying = ~np.isnan(rho.diagonal())
+        m = int(np.count_nonzero(varying))
+        if m < 2:
+            return math.nan, 0
+        if m < len(varying):
+            rho = rho[np.ix_(varying, varying)]
+        if m == 2:
+            return float(rho[0, 1]), 1
+        key = varying.tobytes()
+        if key not in by_mask:
+            h, w_h, t, u = _weight_split(wv.values, varying)
+            s1, s2 = math.fsum(u.tolist()), math.fsum((u * u).tolist())
+            by_mask[key] = h, w_h, t, u, w_h * s1 + t * (s1 * s1 - s2) / 2
+        h, w_h, t, u, total = by_mask[key]
+        dist = 1.0 - rho
+        np.fill_diagonal(dist, 0.0)  # six_lognormal's unit diagonal is only within 1e-12
+        y = dist @ u
+        return 1.0 - float(w_h * y[h] + t * (u @ y) / 2) / total, m * (m - 1) // 2
 
     return window_six
 
@@ -300,7 +316,7 @@ def six_lognormal(corr: "np.ndarray | Sequence[Sequence[float]]",
         raise ModelError("correlation matrix must be symmetric with a unit diagonal")
     if float(np.linalg.eigvalsh(c).min()) < -1e-10:
         raise ModelError("correlation matrix must be positive semidefinite")
-    return weighted_six(gaussian_spearman(c), pair_weight_matrix(wv))[0]
+    return matrix_six(wv)(gaussian_spearman(c))[0]
 
 
 def rhix_lognormal_bivariate(rho: float, sigma1: float, sigma2: float) -> float:

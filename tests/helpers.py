@@ -2,8 +2,9 @@
 samplers (the comonotonic, independence and Gaussian copulas among them), the
 Frechet bounds, the covariance-identity and Lemma M sample checks, the
 countermonotonic pair's CDF and the absolute support check as first written,
-the brute-force rank-correlation oracle, the per-pair loops and the
-pairs-tuple SIX average that the matrix kernels of ``wcm.indices`` replaced,
+the brute-force rank-correlation oracle, the per-pair loops, the
+pairs-tuple SIX average and the fsum-of-pair-weights SIX of a rho matrix that
+the matrix kernels of ``wcm.indices`` replaced,
 and the least-squares variant-B construction that the closed form of
 ``wcm.copula`` replaced, and the row-wise sample draw, gather and CSV writer
 that its column-wise path replaced, and the Monte Carlo variance on unscaled
@@ -34,7 +35,7 @@ from wcm.bounds import MC_BATCH, _draw_dots
 from wcm.copula import (SUPPORT_TOL, SampleMatrix, _require_unit_cube, build_triangle, make_rng,
                         sample_values, spawn_rngs)
 from wcm.errors import DegenerateDataError, DimensionError, DomainError, MassNormalizationError
-from wcm.indices import centred_correlation, midranks, pair_weight_matrix, weighted_six
+from wcm.indices import _scaled_weights, centred_correlation, midranks
 from wcm.weights import as_weight_vector, unit_scaled, validate_wcm_existence
 
 
@@ -287,6 +288,37 @@ def six_from_pairs_oracle(pairs, rhos, w) -> tuple[float, tuple]:
     if len(pairs) == 1:
         value = float(rhos[0])
     return value, tuple(zip(pairs, (terms / denominator).tolist()))
+
+
+def pair_weight_matrix(w) -> np.ndarray:
+    """The pair weights ``w_i w_j`` of ``i < j`` in the strict upper triangle of
+    a ``d x d`` matrix, NaN on and below the diagonal: products of the
+    ``unit_scaled`` weights, each rounded once, times the power of two that
+    puts the largest in [1/4, 1), so they never all round to 0.  For
+    ``weighted_six``, as ``six_lognormal`` and the ``lognormal`` rolling
+    windows took them before ``wcm.indices.matrix_six``."""
+    v = np.array(_scaled_weights(w))
+    shift = -math.frexp(np.partition(v, -2)[-2])[1]
+    with np.errstate(over="ignore"):  # only the masked diagonal can overflow
+        pair_w = np.outer(np.ldexp(v, shift // 2), np.ldexp(v, shift - shift // 2))
+    return np.where(np.tri(len(v), dtype=bool), np.nan, pair_w)
+
+
+def weighted_six(rho: np.ndarray, pair_w: np.ndarray) -> tuple[float, int]:
+    """SIX from a ``d x d`` rho matrix and the ``pair_weight_matrix`` as the
+    ``lognormal`` path took it before ``wcm.indices.matrix_six``:
+    ``fsum(w_i w_j rho_ij) / fsum(w_i w_j)`` over the pairs ``i < j`` whose rho
+    is not NaN, and the number of pairs used; NaN if their weights sum to 0.
+    Both sums are correctly rounded, so rhos that are all one give exactly 1.0.
+    One pair's average is its rho itself whatever its weight, which
+    ``w * rho / w`` need not be."""
+    terms = pair_w * rho
+    used = ~np.isnan(terms)
+    weights = pair_w[used].tolist()
+    if len(weights) == 1:
+        return float(rho[used][0]), 1
+    total = math.fsum(weights)
+    return (math.fsum(terms[used].tolist()) / total if total else math.nan), len(weights)
 
 
 _EDGES = ((0, 1), (1, 2), (2, 0))
@@ -573,16 +605,21 @@ def rank_six_exact(block: np.ndarray, w) -> Fraction:
 
 
 def rank_six_gram_oracle(block: np.ndarray, w) -> tuple[float, int]:
-    """A rank window's SIX and pair count as ``rolling_six`` took them before
-    ``rank_six``: ``weighted_six`` of the ``centred_correlation`` Gram of the
-    centred mid-ranks with the ``pair_weight_matrix``, and the varying
-    columns' own pair weights where those of the pairs left all round to 0."""
+    """A rank window's SIX and pair count from the rhos ``rolling_six`` took
+    before ``rank_six``, the ``centred_correlation`` Gram of the centred
+    mid-ranks: their ``w_i w_j``-weighted average over the varying columns'
+    pairs in Fractions of the weights as given, correctly rounded.  The
+    ``weighted_six`` of these rhos rounds each pair weight after scaling it,
+    which loses bits of weights that are subnormal as given: at (1,
+    6.953355807835e-310, 1.2072625e-316) it lay 9e-16 from this average."""
     rho = centred_correlation(midranks(block) - 0.5 * (len(block) + 1))
-    value, n_pairs = weighted_six(rho, pair_weight_matrix(w))
-    if n_pairs and math.isnan(value):
-        keep = ~np.isnan(rho.diagonal())
-        value = weighted_six(rho[np.ix_(keep, keep)], pair_weight_matrix(np.compress(keep, w)))[0]
-    return value, n_pairs
+    keep = np.flatnonzero(~np.isnan(rho.diagonal())).tolist()
+    pairs = list(itertools.combinations(keep, 2))
+    if len(pairs) == 1:
+        return float(rho[pairs[0]]), 1
+    pair_w = [Fraction(w[i]) * Fraction(w[j]) for i, j in pairs]
+    num = sum(p * Fraction(rho[i, j]) for p, (i, j) in zip(pair_w, pairs))
+    return (float(num / sum(pair_w)) if pairs else math.nan), len(pairs)
 
 
 def rearrangement_variance(w, n: int, seed: int = 0, max_sweeps: int = 100) -> float:

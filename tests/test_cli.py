@@ -349,9 +349,12 @@ class TestGoldenOutputs:
         # values moved by one ulp, each now the exact SIX correctly rounded
         ("six PRICES --window 20 --step 5 --json",
          "ff6fb2c679f46e0bc428a4680f57d39311eefce41d1bba0db3883a0a734fccbb", SIX_COUNTS),
+        # re-recorded when lognormal SIX became 1 - q / P on 1 - S: eight of the
+        # nine ``six`` values moved by one to three ulps, each within 0.5 eps of the
+        # fsum average it replaced (``helpers.weighted_six``); nothing else moved
         ("six PRICES --window 20 --step 5 --estimator lognormal --index-column IDX "
          "--detrend --json",
-         "7e02af3ec38080a4dd78b779d1f81a9c1afb9a30b442984960c6f72c9b972089", SIX_COUNTS),
+         "bb57dc56517b977885f1b02a9654188edc076fc6d85fdf9c3bad470079beef98", SIX_COUNTS),
     ])
     def test_json_digest(self, capsys, tmp_path, price_csv, argv, digest, manifest):
         # recorded before the writers moved into ``wcm.cli``; the manifest, which

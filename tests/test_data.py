@@ -368,10 +368,10 @@ class TestRollingSix:
     @pytest.mark.parametrize("tiny", [1e-200, 2.0**-1073])
     def test_pair_weights_left_that_underflow_give_the_six_of_the_varying_columns(self, tiny,
                                                                                   estimator):
-        # the first ticker halts for 12 rows.  Scaled so the largest pair weight
-        # is 1/4, the pairs left weigh about 4e-201 for 1e-200, but 2**-1075 for
-        # 2**-1073, which rounds to 0.0: only then does the window fall back on
-        # its varying columns' own pair weights
+        # the first ticker halts for 12 rows, so the first window's SIX is that
+        # of the three tiny columns, whose pair weights are about 1e-400 or
+        # 2**-2146 unscaled: both kernels scale the varying columns' weights
+        # by their own powers of two, so none underflows
         returns = gaussian_returns(30, np.eye(4), seed=31)
         returns[:12, 0] = 0.0
         w = (1.0, tiny, tiny, tiny)

@@ -24,14 +24,13 @@ from wcm.errors import (
 )
 from wcm.indices import (
     gaussian_spearman,
-    pair_weight_matrix,
+    matrix_six,
     rhix_degeneracy_curve,
     rhix_lognormal_bivariate,
     six,
     six_bounds,
     six_lognormal,
     spearman_matrix,
-    weighted_six,
 )
 
 
@@ -87,7 +86,7 @@ class TestSix:
         s = ComonotonicCopula(3).sample(1000, seed=1)
         w = (5, 4, 3)
         assert six(s, w) == 1.0
-        assert weighted_six(spearman_matrix(s), pair_weight_matrix(w)) == (1.0, 3)
+        assert matrix_six(w)(spearman_matrix(s)) == (1.0, 3)
 
     def test_strict_equal_weight_attains_lower_bound(self):
         s = build_triangle((1, 1, 1), "A").sample(100_000, seed=2)
@@ -174,7 +173,7 @@ class TestSixBounds:
     @pytest.mark.parametrize("w", [(4, 1e-323), (1e300, 1e-300, 1.0)])
     def test_ratio_beyond_the_float_range_names_the_weights(self, w):
         given_w = repr(tuple(float(v) for v in w))
-        for call in (lambda: six_bounds(w), lambda: pair_weight_matrix(w),
+        for call in (lambda: six_bounds(w), lambda: six_lognormal(np.eye(len(w)), w),
                      lambda: six(np.eye(len(w)), w)):
             with pytest.raises(InvalidWeightError, match="float range") as err:
                 call()
@@ -198,6 +197,14 @@ class TestGaussianSpearman:
 class TestSixLognormal:
     def test_all_rho_one_is_exactly_one(self):
         assert six_lognormal(np.ones((3, 3)), (5, 4, 3)) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 30), st.data())
+    def test_all_rho_one_is_exactly_one_for_any_weights(self, d, data):
+        # D = 1 - S is exactly 0; the form on y = S u, without D, missed 1.0 in 39% of such draws
+        weight = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-30, 30))
+        w = data.draw(st.lists(weight, min_size=d, max_size=d))
+        assert six_lognormal(np.ones((d, d)), w) == 1.0
 
     def test_all_rho_zero_is_zero(self):
         assert six_lognormal(np.eye(2), (1, 2)) == 0.0
