@@ -312,9 +312,10 @@ def rolling_six(
     and it lies within the sharp bounds of their weights.  A window with no
     valid pair left is skipped.  Both are counted in the result
     (``pairs_dropped``, ``skipped``), not warned about.  Each ``rank`` window
-    is one ``rank_six`` call on ranks slid from the window before; each
-    ``lognormal`` window is one ``matrix_six`` call on its arcsine-mapped
-    Pearson rhos.
+    is one ``rank_six`` call on ranks slid from the window before: exact where
+    its varying columns share one sum of squares, and otherwise ``matrix_six``
+    on the Gram rhos of its ranks.  Each ``lognormal`` window is one
+    ``matrix_six`` call on its arcsine-mapped Pearson rhos.
     """
     if estimator not in ("rank", "lognormal"):
         raise DomainError(f"estimator must be 'rank' or 'lognormal', got {estimator!r}")

@@ -153,21 +153,6 @@ def six_bounds(w: "WeightVector | Iterable[float]") -> tuple[float, float]:
     return (excess * excess - s2) / (s1 * s1 - s2), 1.0
 
 
-def _weight_split(values: Sequence[float], varying: np.ndarray) -> tuple:
-    """The ``varying`` columns' weights (two or more) with the heaviest held
-    apart: its index ``h`` among them, its mantissa ``w_h``, ``t``, the others'
-    power of two over its, and the others ``u`` at their own scale, 0 at ``h``.
-    Each ``w_i w_j`` is ``w_h u_j`` or ``t u_i u_j`` times one power of two, so
-    none underflows.  For the held-apart forms of ``rank_six`` and ``matrix_six``."""
-    v = np.compress(varying, values)
-    h = int(np.argmax(v))
-    w_h, e_h = math.frexp(v[h])
-    v[h] = 0.0
-    e_rest = math.frexp(v.max())[1]
-    u = np.ldexp(v, -e_rest)
-    return h, w_h, math.ldexp(1.0, e_rest - e_h), u
-
-
 def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tuple[float, int]]:
     """The rank SIX of the weights ``w`` as a function of one window's ``(n, d)``
     mid-ranks centred on ``(n + 1) / 2``, in any row order: the SIX of the
@@ -177,68 +162,57 @@ def rank_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tupl
     windows of ``rolling_six``, so it stays out of ``__all__``.
 
     SIX is one normalised variance.  With ``R`` twice the centred ranks (integers),
-    ``g_i = R_i . R_i``, ``v_i = w_i / sqrt(g_i)`` and ``S1``, ``S2`` the sums of
-    the weights and their squares over the ``m`` varying columns (``g_i > 0``),
-    ``sum_{i<j} w_i w_j rho_ij = (|R v|^2 - S2) / 2`` and ``sum_{i<j} w_i w_j =
-    (S1^2 - S2) / 2``.  Two varying columns give their rho, as
-    ``centred_correlation`` does.  Where the varying columns share one ``g = G``
+    ``g_i = R_i . R_i`` and ``S1``, ``S2`` the sums of the weights and their
+    squares over the ``m`` varying columns (``g_i > 0``), ``sum_{i<j} w_i w_j
+    rho_ij = (|R v|^2 - S2) / 2`` for ``v_i = w_i / sqrt(g_i)`` and ``sum_{i<j}
+    w_i w_j = (S1^2 - S2) / 2``.  Where the varying columns share one ``g = G``
     (no ties, or comonotone columns), SIX is ``(|R k|^2 - G S2) / (G (S1^2 -
-    S2))`` in the weights as integers ``k``, one correctly rounded division.
+    S2))`` in the weights as integers ``k``, one correctly rounded division;
+    two such columns give ``R_1 . R_2 / G``, the bits of ``centred_correlation``.
     ``k`` is cut into limbs of ``b`` bits, the most for which every entry of
     ``Y = R @ limbs`` and every dot ``Y_s . Y_t`` stays an integer below
     ``2**53`` (``n (m (n - 1))^2 2^(2b) < 2^53``, as ``|R| <= n - 1``), so
     ``|R k|^2 = sum_{s,t} 2^(b (s + t)) Y_s . Y_t`` takes two float products
     and a sum over the limb pairs, whatever ``n``; at 30 columns that holds
-    for windows up to about 13,000 rows.  Otherwise, in the ``_weight_split``
-    with ``y = sum_{j != h} v_j R_j`` and ``S1'``, ``S2'`` over ``j != h``, SIX
-    is ``(v_h R_h . y + (y . y - S2') / 2) / (w_h S1' + (S1'^2 - S2') / 2)``,
-    whose rounding is small beside the denominator, at least ``w_h S1'``.
+    for windows up to about 13,000 rows.  Any other window is the
+    ``matrix_six`` of its ``centred_correlation``, whose NaN rows are the
+    constant columns.
     """
     wv = as_weight_vector(w)
-    _scaled_weights(wv)  # for its InvalidWeightError; k keeps every bit of the weights as given
-    k = _integer_weights(wv.values)
+    float_six = matrix_six(wv)  # for its InvalidWeightError too
+    k = _integer_weights(wv.values)  # every bit of the weights as given
     by_mask: dict[tuple[int, bytes], tuple] = {}
 
     def weights_of(varying: np.ndarray, n: int) -> tuple:
         """What the weights give a window of ``n`` rows: the sum of the varying
         columns' integer weights and of its squares, their limbs and each limb's
-        power of two as a Python int (no limbs where the bound fails); the
-        ``_weight_split``, with the sum of ``u`` and of its squares.  Windows of
-        one row count and mask share them."""
+        power of two as a Python int (no limbs where the bound fails).  Windows
+        of one row count and mask share them."""
         kv = list(compress(k, varying.tolist()))
         b = (53 - (n * (len(kv) * (n - 1)) ** 2).bit_length()) // 2
         shifts = range(0, max(kv).bit_length(), b) if b > 0 else range(0)
         limbs = np.array([[(x >> s) & ((1 << b) - 1) for s in shifts] for x in kv], dtype=float)
         scale = np.array([1 << s for s in shifts], dtype=object)
-        h, w_h, t, u = _weight_split(wv.values, varying)
-        return (sum(kv), sum(x * x for x in kv), limbs, scale, h, w_h, t, u,
-                float(u.sum()), float(u @ u))
+        return sum(kv), sum(x * x for x in kv), limbs, scale
 
     def window_six(ranks: np.ndarray) -> tuple[float, int]:
         r = ranks + ranks
         g = np.einsum("ij,ij->j", r, r)
         varying = g > 0.0
-        m = int(np.count_nonzero(varying))
-        if m < 2:
-            return math.nan, 0
-        if m == 2:
-            return float(centred_correlation(ranks[:, varying])[0, 1]), 1
-        key = (len(r), varying.tobytes())
-        if key not in by_mask:
-            by_mask[key] = weights_of(varying, len(r))
-        k1, k2, limbs, scale, h, w_h, t, u, s1, s2 = by_mask[key]
-        if m < len(k):  # C order: a row's sum below groups its terms as for m == d
-            r, g = np.compress(varying, r, axis=1), g[varying]
-        n_pairs = m * (m - 1) // 2
-        if g.min() == g.max() and len(scale):
-            y = r @ limbs
-            ss = int(scale @ (y.T @ y).astype(np.int64).astype(object) @ scale)
-            return (ss - int(g[0]) * k2) / (int(g[0]) * (k1 * k1 - k2)), n_pairs
-        # each row of y on its own, then fsum: the value does not depend on the row order
-        y = (r * (u / np.sqrt(g))).sum(axis=1)
-        r_h_y, y_y = math.fsum((r[:, h] * y).tolist()), math.fsum((y * y).tolist())
-        num = w_h / math.sqrt(g[h]) * r_h_y + t * (y_y - s2) / 2
-        return num / (w_h * s1 + t * (s1 * s1 - s2) / 2), n_pairs
+        g = g[varying]
+        m = len(g)
+        if m >= 2 and g.min() == g.max():
+            key = (len(r), varying.tobytes())
+            if key not in by_mask:
+                by_mask[key] = weights_of(varying, len(r))
+            k1, k2, limbs, scale = by_mask[key]
+            if len(scale):
+                if m < len(k):  # the limbs hold the varying columns' weights only
+                    r = np.compress(varying, r, axis=1)
+                y = r @ limbs
+                ss = int(scale @ (y.T @ y).astype(np.int64).astype(object) @ scale)
+                return (ss - int(g[0]) * k2) / (int(g[0]) * (k1 * k1 - k2)), m * (m - 1) // 2
+        return float_six(centred_correlation(ranks))
 
     return window_six
 
@@ -248,16 +222,20 @@ def matrix_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tu
     NaN rows and columns for the constant columns: the SIX of the columns whose
     diagonal is not NaN and the number of their pairs, or ``(nan, 0)`` when
     fewer than two are.  A ratio of the weights beyond the float range is an
-    :class:`InvalidWeightError`.  Its callers are ``six_lognormal`` and the
-    ``lognormal`` windows of ``rolling_six``, so it stays out of ``__all__``.
+    :class:`InvalidWeightError`.  Its callers are ``six_lognormal``, the
+    ``lognormal`` windows of ``rolling_six`` and ``rank_six`` for the rank
+    windows it does not take exactly, so it stays out of ``__all__``.
 
     With ``D = 1 - S`` on those columns, 0 on the diagonal, SIX is ``1 - q / P``
-    for ``q = sum_{i<j} w_i w_j D_ij`` and ``P = sum_{i<j} w_i w_j``; in the
-    ``_weight_split`` these are ``w_h (D u)_h + t u . (D u) / 2`` and ``w_h S1'
-    + t (S1'^2 - S2') / 2``, with ``S1'``, ``S2'`` the sums of ``u`` and of its
-    squares, each taken with ``fsum`` once per mask: numpy's sums made most of
-    SIX's rounding.  All-one rhos give ``D = 0``, so exactly 1.0, and two
-    columns give their rho itself."""
+    for ``q = sum_{i<j} w_i w_j D_ij`` and ``P = sum_{i<j} w_i w_j``.  The
+    heaviest varying column ``h`` is held apart: with its mantissa ``w_h``, the
+    other weights ``u`` at their own power of two (0 at ``h``) and ``t`` that
+    power over ``h``'s, each ``w_i w_j`` is ``w_h u_j`` or ``t u_i u_j`` times
+    one power of two, so none underflows, and ``q`` and ``P`` are ``w_h (D u)_h
+    + t u . (D u) / 2`` and ``w_h S1' + t (S1'^2 - S2') / 2``, with ``S1'``,
+    ``S2'`` the sums of ``u`` and of its squares, each taken with ``fsum`` once
+    per mask: numpy's sums made most of SIX's rounding.  All-one rhos give
+    ``D = 0``, so exactly 1.0, and two columns give their rho itself."""
     wv = as_weight_vector(w)
     _scaled_weights(wv)  # for its InvalidWeightError
     by_mask: dict[bytes, tuple] = {}
@@ -273,7 +251,13 @@ def matrix_six(w: "WeightVector | Iterable[float]") -> Callable[[np.ndarray], tu
             return float(rho[0, 1]), 1
         key = varying.tobytes()
         if key not in by_mask:
-            h, w_h, t, u = _weight_split(wv.values, varying)
+            v = np.compress(varying, wv.values)
+            h = int(np.argmax(v))
+            w_h, e_h = math.frexp(v[h])
+            v[h] = 0.0
+            e_rest = math.frexp(v.max())[1]
+            u = np.ldexp(v, -e_rest)
+            t = math.ldexp(1.0, e_rest - e_h)
             s1, s2 = math.fsum(u.tolist()), math.fsum((u * u).tolist())
             by_mask[key] = h, w_h, t, u, w_h * s1 + t * (s1 * s1 - s2) / 2
         h, w_h, t, u, total = by_mask[key]

@@ -44,11 +44,12 @@ from wcm.indices import (
     spearman_matrix,
 )
 
-# How far the rank SIX of a window with ties may lie from the Gram path it
-# replaced (``helpers.rank_six_gram_oracle``).  Fitted on 20000 random tied
-# windows (n 3-89, d 3-30, equal, uniform, one-dominant and every-scale
-# weights): at most 6.7e-16; against a 200-bit value the new form was within
-# 3.9e-16 and the Gram path within 1.7e-16.
+# How far the rank SIX of a window with ties, ``matrix_six`` on its Gram rhos,
+# may lie from the Gram path it replaced (``helpers.rank_six_gram_oracle``).
+# Fitted on 20000 random tied windows (n 3-89, d 3-30, equal, uniform,
+# one-dominant and every-scale weights): at most 7.8e-16 (3.5 eps), and 8.4e-16
+# on 80000 more; against a 200-bit value it was within 7.5e-16 and the Gram
+# path within 1.3e-16.
 RANK_SIX_TOL = 1e-15
 
 # How far the SIX of a rho matrix may lie from the fsum average it replaced
@@ -334,12 +335,15 @@ def tied_windows(draw):
 def test_tied_window_six_is_within_tolerance_and_ignores_row_order_and_constant_columns(case,
                                                                                      data):
     block, w = case
-    value, n_pairs = rank_six(w)(midranks(block) - 0.5 * (len(block) + 1))
+    ranks = midranks(block) - 0.5 * (len(block) + 1)
+    value, n_pairs = rank_six(w)(ranks)
     want, want_pairs = rank_six_gram_oracle(block, w)
     assert n_pairs == want_pairs
     assert abs(value - want) <= RANK_SIX_TOL
-    # the same bits with the rows in another order and a constant column
-    # added: row sums over more than 8 columns group their terms by position
+    # a tied window is matrix_six on its Gram rhos, bit for bit
+    got = matrix_six(w)(centred_correlation(ranks))
+    assert (got[0].hex(), got[1]) == (value.hex(), n_pairs)
+    # the same bits with the rows in another order and a constant column added
     at = data.draw(st.integers(0, block.shape[1]))
     wider = np.insert(block[data.draw(st.permutations(range(len(block))))], at, 1.0, axis=1)
     got = rank_six(np.insert(w, at, data.draw(st.sampled_from(w))).tolist())(
@@ -364,15 +368,18 @@ def test_comonotone_columns_give_one_and_a_countermonotone_pair_minus_one(n, d, 
 
 def test_a_tie_free_window_beyond_the_limb_bound_takes_the_float_form():
     # the limbs of k keep every dot exact while n (m (n - 1))^2 < 2**51, up to
-    # about 13,000 rows at 30 columns; a longer window without ties takes the
-    # held-apart float form, within the tolerance of the Gram path
+    # about 13,000 rows at 30 columns; a longer window without ties takes
+    # matrix_six on its Gram rhos, within the tolerance of the Gram path
     rng = np.random.default_rng(5)
     block = rng.standard_normal((14_000, 30))
     w = rng.uniform(0.1, 10.0, 30).tolist()
-    value, n_pairs = rank_six(w)(midranks(block) - 0.5 * (len(block) + 1))
+    ranks = midranks(block) - 0.5 * (len(block) + 1)
+    value, n_pairs = rank_six(w)(ranks)
     want, want_pairs = rank_six_gram_oracle(block, w)
     assert n_pairs == want_pairs == 435
     assert abs(value - want) <= RANK_SIX_TOL
+    got = matrix_six(w)(centred_correlation(ranks))
+    assert (got[0].hex(), got[1]) == (value.hex(), n_pairs)
 
 
 def windows_by_varying_columns(series, w, window, step, estimator):
@@ -575,9 +582,12 @@ def test_six_of_one_pair_is_that_pairs_rho(d, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(blocks(max_n=60, max_d=2), st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2),
+@given(blocks(max_n=60, max_d=2),
+       weights_of_any_scale(2) | st.lists(st.floats(0.01, 100.0), min_size=2, max_size=2),
        st.sampled_from(["rank", "lognormal"]))
 def test_two_ticker_rolling_six_is_each_windows_rho(block, w, estimator):
+    # a tie-free rank window is (|R k|^2 - G S2) / (G (S1^2 - S2)) with the weights
+    # in many limbs, R_1 . R_2 / G correctly rounded: centred_correlation's bits
     series = series_from(block)
     returns = log_returns(series)
     window = min(10, len(returns))
